@@ -6,7 +6,7 @@
 //
 //   * rebuild+save — what every batch cost before the update path existed:
 //     Decompose (kDft, hierarchy), MakeSnapshot with index tables, and a
-//     full SaveSnapshot. Measured once per batch against the then-current
+//     full SaveSnapshotV2. Measured once per batch against the then-current
 //     graph.
 //   * patch+save   — the incremental path: IncrementalCoreMaintainer::
 //     ApplyEdits (subcore-local work) plus SaveDelta of the chain record
@@ -49,6 +49,7 @@
 #include "nucleus/serve/live_update.h"
 #include "nucleus/store/delta.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/mutex.h"
 #include "nucleus/util/rng.h"
 #include "nucleus/util/scratch.h"
@@ -119,7 +120,7 @@ void Run(const Options& options) {
   const std::int64_t num_batches = options.quick ? 8 : 32;
   const std::int64_t batch_size = 64;
   std::cout << "Incremental update: patch-and-save (ApplyEdits + SaveDelta)\n"
-            << "vs full re-decompose (kDft + index tables + SaveSnapshot)\n"
+            << "vs full re-decompose (kDft + index tables + SaveSnapshotV2)\n"
             << "per batch of " << batch_size << " mixed edge edits ("
             << num_batches << " batches"
             << (options.quick ? ", quick mode" : "") << ")\n\n";
@@ -151,7 +152,7 @@ void Run(const Options& options) {
         MakeSnapshot(base_graph, decompose_options,
                      Decompose(base_graph, decompose_options),
                      /*with_index=*/true);
-    if (Status s = SaveSnapshot(base_snapshot, base_path); !s.ok()) {
+    if (Status s = SaveSnapshotV2(base_snapshot, base_path); !s.ok()) {
       std::cerr << "error: " << s.ToString() << "\n";
       std::exit(1);
     }
@@ -245,7 +246,7 @@ void Run(const Options& options) {
           MakeSnapshot(current, decompose_options,
                        Decompose(current, decompose_options),
                        /*with_index=*/true);
-      if (Status s = SaveSnapshot(full, rebuild_path); !s.ok()) {
+      if (Status s = SaveSnapshotV2(full, rebuild_path); !s.ok()) {
         std::cerr << "error: " << s.ToString() << "\n";
         std::exit(1);
       }

@@ -1,6 +1,7 @@
 // Serving bench: cold snapshot load vs full re-decomposition, batched
-// query throughput at 1-8 threads, and the beyond-RAM story: heap (v1
-// bulk read) vs mmap (v2 zero-copy) cold start and resident footprint.
+// query throughput at 1-8 threads, and the beyond-RAM story: one v2 file
+// held owned (read + verified up front) vs mapped (zero-copy, verified
+// lazily) — cold start and resident footprint.
 //
 // The paper's economics are "build once, query forever"; this bench prices
 // both halves of that claim for the serving stack this repo adds on top:
@@ -16,14 +17,14 @@
 //     threads, with a cross-thread-count checksum proving answers are
 //     schedule-invariant.
 //   * mmap cold start / resident — time-to-first-answer and heap bytes of
-//     an MmapSource engine over the v2 layout vs a HeapSource engine over
-//     the v1 file. The mmap path parses a 400-byte header and serves
-//     lambdas straight from the page cache, so its cold start prices the
-//     header + one lazily-verified section instead of the whole file; the
-//     acceptance bar is >= 5x under the v1 bulk read, with resident bytes
-//     below the snapshot file size. Both engines answer the whole workload
-//     at every thread count and every answer is checksum-compared — a
-//     heap/mmap divergence fails the bench.
+//     a mapped engine vs an owned engine over the same v2 file. The mapped
+//     path parses a 400-byte header and serves lambdas straight from the
+//     page cache, so its cold start prices the header + one lazily
+//     verified section instead of reading and verifying the whole file;
+//     mapped resident bytes must stay below the snapshot file size. Both
+//     engines answer the whole workload at every thread count and every
+//     answer is checksum-compared — an owned/mapped divergence fails the
+//     bench.
 //
 // Flags:
 //   --quick       CI smoke mode: Table 1 datasets only, smaller workload
@@ -179,11 +180,11 @@ void Run(const Options& options) {
   const std::int64_t workload_size = options.quick ? 20000 : 100000;
   std::cout << "Query serving: cold snapshot load vs re-decomposition,\n"
             << "batched (2,3) community queries over the shared ThreadPool,\n"
-            << "and heap(v1) vs mmap(v2) cold start + resident footprint\n"
+            << "and owned vs mapped cold start + resident footprint\n"
             << "(workload " << workload_size << " mixed queries"
             << (options.quick ? ", quick mode" : "") << ")\n\n";
   TablePrinter table({"graph", "decompose", "load", "load spdup", "snap MB",
-                      "cold v1", "cold mm", "cold spdup", "res v1 MB",
+                      "cold own", "cold mm", "cold spdup", "res own MB",
                       "res mm MB", "q/s t1", "q/s t2", "q/s t4", "q/s t8"});
 
   struct JsonRow {
@@ -218,14 +219,7 @@ void Run(const Options& options) {
     const std::string path =
         UniqueScratchPath("/tmp", "query_serving_" + spec.name, ".nucsnap");
     ScratchFileRemover remover(path);
-    if (Status s = SaveSnapshot(snapshot, path); !s.ok()) {
-      std::cerr << "error: " << s.ToString() << "\n";
-      std::exit(1);
-    }
-    const std::string v2_path = UniqueScratchPath(
-        "/tmp", "query_serving_" + spec.name + "_v2", ".nucsnap");
-    ScratchFileRemover v2_remover(v2_path);
-    if (Status s = SaveSnapshotV2(snapshot, v2_path); !s.ok()) {
+    if (Status s = SaveSnapshotV2(snapshot, path); !s.ok()) {
       std::cerr << "error: " << s.ToString() << "\n";
       std::exit(1);
     }
@@ -243,15 +237,14 @@ void Run(const Options& options) {
     const double load_speedup = build_seconds / load_seconds;
 
     const double snap_mb = FileMegabytes(path);
-    const double v2_mb = FileMegabytes(v2_path);
 
-    // Cold start to first answer, both memory modes over cold files.
+    // Cold start to first answer, both memory modes over the same file.
     double heap_cold = 0.0;
     double mmap_cold = 0.0;
     const std::unique_ptr<QueryEngine> heap_engine =
         ColdStart(path, SnapshotMemoryMode::kHeap, &heap_cold);
     const std::unique_ptr<QueryEngine> mmap_engine =
-        ColdStart(v2_path, SnapshotMemoryMode::kMmap, &mmap_cold);
+        ColdStart(path, SnapshotMemoryMode::kMmap, &mmap_cold);
     const double cold_speedup = heap_cold / mmap_cold;
 
     const auto workload = MakeWorkload(*heap_engine, workload_size);
@@ -283,7 +276,7 @@ void Run(const Options& options) {
       const std::uint64_t mmap_checksum =
           ChecksumResponses(mmap_engine->RunBatch(workload, pool));
       if (mmap_checksum != reference_checksum) {
-        std::cerr << "error: heap and mmap answers diverged at " << threads
+        std::cerr << "error: owned and mapped answers diverged at " << threads
                   << " threads on " << spec.name << "\n";
         std::exit(1);
       }
@@ -300,9 +293,9 @@ void Run(const Options& options) {
     const double resident_savings =
         static_cast<double>(heap_resident) /
         static_cast<double>(mmap_resident > 0 ? mmap_resident : 1);
-    if (static_cast<double>(mmap_resident) > v2_mb * 1024.0 * 1024.0) {
+    if (static_cast<double>(mmap_resident) > snap_mb * 1024.0 * 1024.0) {
       std::cerr << "error: mmap resident bytes (" << mmap_resident
-                << ") exceed the v2 snapshot file size on " << spec.name
+                << ") exceed the snapshot file size on " << spec.name
                 << "\n";
       std::exit(1);
     }
@@ -320,12 +313,12 @@ void Run(const Options& options) {
 
   table.Print(std::cout);
   std::cout << "\nAnswers are checksummed across thread counts AND across"
-            << "\nmemory modes (heap v1 vs mmap v2); a divergence fails the"
+            << "\nmemory modes (owned vs mapped); a divergence fails the"
             << "\nbench. Load speedup is the restart win of the .nucsnap"
             << "\nstore (acceptance bar: >= 10x); cold spdup is the further"
-            << "\nwin of mmap time-to-first-answer over the v1 bulk read"
-            << "\n(acceptance bar: >= 5x), with mmap resident bytes below"
-            << "\nthe snapshot file size.\n";
+            << "\nwin of mapped time-to-first-answer over reading and"
+            << "\nverifying the whole file, with mapped resident bytes"
+            << "\nbelow the snapshot file size.\n";
 
   if (!options.json_path.empty()) {
     std::FILE* f = std::fopen(options.json_path.c_str(), "w");

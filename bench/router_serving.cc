@@ -61,6 +61,7 @@
 #include "nucleus/serve/router/router.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/rng.h"
 #include "nucleus/util/scratch.h"
 #include "nucleus/util/timer.h"
@@ -271,7 +272,7 @@ void Run(const Options& options) {
           "/tmp", "router_serving_" + spec.name, ".nucsnap");
       removers.push_back(
           std::make_unique<ScratchFileRemover>(tenant.snapshot_path));
-      if (Status s = SaveSnapshot(snapshot, tenant.snapshot_path); !s.ok()) {
+      if (Status s = SaveSnapshotV2(snapshot, tenant.snapshot_path); !s.ok()) {
         std::cerr << "error: " << s.ToString() << "\n";
         std::exit(1);
       }

@@ -112,7 +112,8 @@ void Run(const Options& options) {
   const ParallelConfig parallel = ParallelConfig::WithThreads(options.threads);
 
   std::cout << "Table 1: speedups of our best algorithms per decomposition\n"
-            << "(paper Table 1; synthetic proxies, see DESIGN.md §3)\n"
+            << "(paper Table 1; synthetic proxies, see "
+               "src/nucleus/bench/datasets.h)\n"
             << "(*) = lower bound: Naive stopped after "
             << naive_budget_seconds << "s, as the paper stars its 2-day "
             << "timeouts\n"

@@ -15,7 +15,7 @@ namespace {
 
 void Run() {
   std::cout << "Table 3: dataset statistics (synthetic proxies for the "
-               "paper's graphs; see DESIGN.md §3)\n\n";
+               "paper's graphs; see src/nucleus/bench/datasets.h)\n\n";
   TablePrinter table({"graph", "|V|", "|E|", "|tri|", "|K4|", "E/V", "tri/E",
                       "K4/tri", "|T12|", "|T*12|", "|T23|", "|T*23|", "|T34|",
                       "|T*34|", "c(T*23)", "c(T*34)"});

@@ -16,6 +16,7 @@
 #include "nucleus/serve/query_engine.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/scratch.h"
 #include "nucleus/util/timer.h"
 
@@ -41,7 +42,7 @@ int main() {
   const std::string path =
       UniqueScratchPath("/tmp", "persist_and_serve", ".nucsnap");
   ScratchFileRemover remover(path);
-  if (Status s = SaveSnapshot(MakeSnapshot(g, options, result, true), path);
+  if (Status s = SaveSnapshotV2(MakeSnapshot(g, options, result, true), path);
       !s.ok()) {
     std::cerr << s.ToString() << "\n";
     return 1;

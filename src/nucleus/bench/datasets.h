@@ -3,7 +3,8 @@
 // available offline; each proxy reproduces the structural regime that
 // drives the paper's runtime behaviour — |E|/|V|, |triangle|/|E| and
 // |K4|/|triangle| — at a laptop scale where even the Naive baseline
-// finishes. See DESIGN.md §3 for the substitution rationale.
+// finishes. Each spec's `regime` names what its proxy preserves, and
+// `bench/table3_datasets` prints the measured statistics of every proxy.
 #ifndef NUCLEUS_BENCH_DATASETS_H_
 #define NUCLEUS_BENCH_DATASETS_H_
 

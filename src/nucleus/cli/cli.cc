@@ -187,7 +187,8 @@ constexpr TenantTrioVocabulary kCliTrioVocabulary{
     "--snapshot (the chain base)", "--deltas", "--input"};
 
 /// --memory-mode heap|mmap: how a plain snapshot is brought to the query
-/// surface (heap materialization vs. zero-copy mapping of a v2 file).
+/// surface (read into memory and verified up front vs. mapped zero-copy
+/// and verified per section on first use).
 bool ParseMemoryMode(const ParsedArgs& parsed, SnapshotMemoryMode* mode,
                      std::ostream& err) {
   const std::string value = FlagOr(parsed, "memory-mode", "heap");
@@ -259,8 +260,7 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
                  std::ostream& err) {
   if (!CheckFlags(parsed,
                   {"input", "family", "algorithm", "threads", "out-json",
-                   "out-dot", "lambda", "out-snapshot", "snapshot-index",
-                   "snapshot-format"},
+                   "out-dot", "lambda", "out-snapshot"},
                   err)) {
     return 2;
   }
@@ -269,25 +269,16 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
     err << "error: decompose requires --input\n";
     return 2;
   }
-  const std::string snapshot_format = FlagOr(parsed, "snapshot-format", "v1");
-  if (snapshot_format != "v1" && snapshot_format != "v2") {
-    err << "error: --snapshot-format expects v1 or v2, got '"
-        << snapshot_format << "'\n";
-    return 2;
-  }
   const StatusOr<Graph> graph = ReadEdgeList(input);
   if (!graph.ok()) {
     err << "error: " << graph.status().ToString() << "\n";
     return 1;
   }
   DecomposeOptions options;
-  std::int64_t snapshot_index = 1;
   if (!ParseFamily(FlagOr(parsed, "family", "core"), &options.family, err) ||
       !ParseAlgorithm(FlagOr(parsed, "algorithm", "fnd"), &options.algorithm,
                       err) ||
-      !ParseThreads(parsed, &options.parallel, err) ||
-      !ParseIntFlag(parsed, "snapshot-index", 1, 0, 1, &snapshot_index,
-                    err)) {
+      !ParseThreads(parsed, &options.parallel, err)) {
     return 2;
   }
   if (options.algorithm == Algorithm::kLcps &&
@@ -367,23 +358,14 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
     // Last use of `result`: move the lambdas and hierarchy into the
     // snapshot instead of deep-copying a potentially huge tree.
     const SnapshotData snapshot =
-        MakeSnapshot(*graph, options, std::move(result), snapshot_index != 0);
-    // v2 always embeds the index tables (the lazy mmap reader depends on
-    // them), so --snapshot-index only shapes v1 output.
-    const Status status = snapshot_format == "v2"
-                              ? SaveSnapshotV2(snapshot, snapshot_path)
-                              : SaveSnapshot(snapshot, snapshot_path);
-    if (!status.ok()) {
-      err << "error: " << status.ToString() << "\n";
+        MakeSnapshot(*graph, options, std::move(result), /*with_index=*/true);
+    if (Status s = SaveSnapshotV2(snapshot, snapshot_path); !s.ok()) {
+      err << "error: " << s.ToString() << "\n";
       return 1;
     }
     out << "wrote " << snapshot_path << " ("
         << snapshot.hierarchy.NumNodes() << " nodes, "
-        << snapshot.meta.num_cliques << " cliques"
-        << (snapshot_format == "v2"
-                ? ", v2 layout with index tables"
-                : (snapshot_index != 0 ? ", with index tables" : ""))
-        << ")\n";
+        << snapshot.meta.num_cliques << " cliques, with index tables)\n";
   }
   return 0;
 }
@@ -565,8 +547,8 @@ int CmdSemiExternal(const ParsedArgs& parsed, std::ostream& out,
 }
 
 /// Acquires a query-ready engine from a .nucsnap file (--snapshot, the
-/// fast path; --memory-mode picks heap materialization or a zero-copy
-/// mapping), from a snapshot chain (--snapshot + --deltas + --input,
+/// fast path; --memory-mode picks an owned, eagerly verified copy or a
+/// zero-copy mapping), from a snapshot chain (--snapshot + --deltas + --input,
 /// resolved through store/delta.h), or by decomposing --input from
 /// scratch. Returns nullptr after reporting to `err`.
 std::unique_ptr<QueryEngine> AcquireEngine(const ParsedArgs& parsed,
@@ -815,7 +797,7 @@ int CmdUpdate(const ParsedArgs& parsed, std::ostream& out,
               std::ostream& err) {
   if (!CheckFlags(parsed,
                   {"snapshot", "deltas", "input", "edits", "out-snapshot",
-                   "snapshot-index", "out-delta"},
+                   "out-delta"},
                   err)) {
     return 2;
   }
@@ -827,12 +809,6 @@ int CmdUpdate(const ParsedArgs& parsed, std::ostream& out,
            "snapshot was built from) and --edits\n";
     return 2;
   }
-  std::int64_t snapshot_index = 1;
-  if (!ParseIntFlag(parsed, "snapshot-index", 1, 0, 1, &snapshot_index,
-                    err)) {
-    return 2;
-  }
-
   const StatusOr<Graph> graph = ReadEdgeList(input);
   if (!graph.ok()) {
     err << "error: " << graph.status().ToString() << "\n";
@@ -890,25 +866,15 @@ int CmdUpdate(const ParsedArgs& parsed, std::ostream& out,
   if (!out_snapshot.empty()) {
     // An all-skipped batch changes nothing: the loaded (or chain-resolved)
     // state IS the post-state, so persist that instead of re-deriving it.
-    SnapshotData& patched =
+    const SnapshotData& patched =
         result->changed ? result->snapshot : *snapshot;
-    if (snapshot_index != 0) {
-      if (!patched.has_index) {
-        patched.has_index = true;
-        patched.index_tables = HierarchyIndex(patched.hierarchy).Tables();
-      }
-    } else {
-      patched.has_index = false;
-      patched.index_tables = HierarchyIndexTables{};
-    }
-    if (Status s = SaveSnapshot(patched, out_snapshot); !s.ok()) {
+    if (Status s = SaveSnapshotV2(patched, out_snapshot); !s.ok()) {
       err << "error: " << s.ToString() << "\n";
       return 1;
     }
     out << "wrote " << out_snapshot << " ("
         << patched.hierarchy.NumNodes() << " nodes, "
-        << patched.meta.num_cliques << " cliques"
-        << (snapshot_index != 0 ? ", with index tables" : "") << ")\n";
+        << patched.meta.num_cliques << " cliques, with index tables)\n";
   }
   return 0;
 }
@@ -1383,7 +1349,7 @@ int CmdServe(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
   std::unique_ptr<QueryEngine> engine;
   if (!graph.has_value() && deltas.empty()) {
     // Read-only session: the source honors --memory-mode (mmap serves a
-    // v2 file zero-copy; a v1 file falls back to heap).
+    // v2 file zero-copy; a v1 file is upgraded in memory either way).
     StatusOr<std::shared_ptr<const SnapshotSource>> source =
         OpenSnapshotSource(snapshot_path, memory_mode);
     if (!source.ok()) {
@@ -1583,10 +1549,9 @@ void PrintUsage(std::ostream& err) {
       << "  decompose     --input F [--family core|truss|34] "
          "[--algorithm fnd|dft|lcps] [--threads N] [--out-json F] "
          "[--out-dot F] [--lambda F]\n"
-      << "                [--out-snapshot F.nucsnap [--snapshot-index 0|1] "
-         "[--snapshot-format v1|v2]]\n"
-      << "                (--snapshot-format v2 writes the mmap-friendly "
-         "sectioned layout; v2 always embeds index tables)\n"
+      << "                [--out-snapshot F.nucsnap]\n"
+      << "                (snapshots are written in the v2 sectioned "
+         "layout, index tables included)\n"
       << "  stats         --input F\n"
       << "  generate      --type er|ba|rmat|ws|planted|caveman --out F "
          "[--n N] [--param P] [--seed S]\n"
@@ -1600,9 +1565,10 @@ void PrintUsage(std::ostream& err) {
       << "  serve         (--snapshot F.nucsnap [--deltas D1,D2] [--input F] "
          "| --registry M [--budget-mb N]) [--memory-mode heap|mmap] "
          "[--queries F] [--out F] [--threads N] [--batch N]\n"
-      << "                (--memory-mode mmap serves a v2 snapshot "
-         "zero-copy from a file mapping — read-only surfaces only; live "
-         "tenants and chains stay heap)\n"
+      << "                (--memory-mode heap reads the snapshot into "
+         "memory and verifies every section up front; mmap maps it "
+         "zero-copy and verifies each section on first use — read-only "
+         "surfaces only; live tenants and chains stay heap)\n"
       << "                (--input pairs the graph and enables the "
          "'update u v +|-' protocol verb; (1,2) snapshots only)\n"
       << "                (--registry serves many tenants from a manifest: "
@@ -1638,13 +1604,12 @@ void PrintUsage(std::ostream& err) {
       << "                (TCP client for serve --listen; --port stdin "
          "parses the port from a piped-in 'listening on' announcement)\n"
       << "  update        --snapshot F.nucsnap [--deltas D1,D2] --input F "
-         "--edits E [--out-snapshot G.nucsnap [--snapshot-index 0|1]] "
-         "[--out-delta D.nucdelta]\n"
+         "--edits E [--out-snapshot G.nucsnap] [--out-delta D.nucdelta]\n"
       << "                (edit lines: '+ u v' inserts, '- u v' removes; "
          "see store/README.md for the chain format)\n"
       << "  snapshot-upgrade --snapshot F.nucsnap --out G.nucsnap\n"
-      << "                (rewrites a v1 or v2 snapshot in the v2 layout; "
-         "lossless — the result answers byte-identically)\n"
+      << "                (rewrites a v1 snapshot, or a v2 one, in the v2 "
+         "layout; lossless — the result answers byte-identically)\n"
       << "query/serve ids are K_r ids of the decomposition's family: "
          "vertex ids (core), edge ids (truss), triangle ids (34)\n";
 }

@@ -6,7 +6,8 @@
 // containing it. Three-way merging those lists for a triangle's three edges
 // enumerates the K4s containing the triangle and yields the ids of the
 // other three member triangles of each K4 with no hash lookups — the inner
-// loop of the (3,4) peeling and traversal (see DESIGN.md §2).
+// loop of the (3,4) peeling and traversal (TriangleSpace::
+// ForEachSuperclique in core/spaces.h).
 #ifndef NUCLEUS_CLIQUES_TRIANGLE_INDEX_H_
 #define NUCLEUS_CLIQUES_TRIANGLE_INDEX_H_
 

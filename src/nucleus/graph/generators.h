@@ -2,8 +2,9 @@
 //
 // The paper evaluates on nine public SNAP / Network Repository / UF graphs
 // that are unavailable in this offline environment; these generators produce
-// the structural regimes those graphs represent (see DESIGN.md §3) and the
-// small structured families used throughout the test suite.
+// the structural regimes those graphs represent (bench/datasets.h maps each
+// paper graph to its generator) and the small structured families used
+// throughout the test suite.
 //
 // Every generator is deterministic in its seed.
 #ifndef NUCLEUS_GRAPH_GENERATORS_H_

@@ -13,7 +13,7 @@
 //     fresh Algorithm::kDft decomposition of the edited graph),
 //
 // leaving the caller to wire the pieces: QueryEngine::ApplyUpdate for
-// serving without a restart, SaveDelta / SaveSnapshot for persistence.
+// serving without a restart, SaveDelta / SaveSnapshotV2 for persistence.
 //
 // Edits arrive from untrusted surfaces (the serve protocol's `update`
 // verb, `nucleus_cli update --edits` files), so Apply validates the whole

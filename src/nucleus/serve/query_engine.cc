@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -21,7 +22,6 @@ Status InvalidClique(const char* what, std::int64_t value,
 std::shared_ptr<QueryEngine::State> QueryEngine::BuildState(
     std::shared_ptr<const SnapshotSource> source, std::uint64_t epoch) {
   auto state = std::make_shared<State>();
-  state->view = MakeSourceView(*source);
   state->source = std::move(source);
   state->epoch = epoch;
   return state;
@@ -43,8 +43,7 @@ std::unique_ptr<QueryEngine> QueryEngine::FromSource(
 
 std::unique_ptr<QueryEngine> QueryEngine::FromSnapshotData(
     SnapshotData snapshot, const QueryEngineOptions& options) {
-  return FromSource(std::make_shared<HeapSource>(std::move(snapshot)),
-                    options);
+  return FromSource(SnapshotSource::FromSnapshotData(snapshot), options);
 }
 
 std::shared_ptr<const QueryEngine::State> QueryEngine::CurrentState() const {
@@ -88,10 +87,9 @@ Status QueryEngine::ApplyUpdate(std::shared_ptr<const SnapshotSource> source) {
 }
 
 Status QueryEngine::ApplyUpdate(SnapshotData snapshot) {
-  // The heap construction (index tables, ranking, flat arrays) happens
+  // The section encoding (index tables, member store, ranking) happens
   // here, before the writer lock is ever taken.
-  return ApplyUpdate(std::shared_ptr<const SnapshotSource>(
-      std::make_shared<HeapSource>(std::move(snapshot))));
+  return ApplyUpdate(SnapshotSource::FromSnapshotData(snapshot));
 }
 
 std::int64_t QueryEngine::UpdateEpoch() const {
@@ -100,7 +98,7 @@ std::int64_t QueryEngine::UpdateEpoch() const {
 
 QueryEngine::NucleusRef QueryEngine::MakeRef(const State& state,
                                              std::int32_t node) const {
-  return {node, state.view.node_lambda[node],
+  return {node, state.source->NodeLambdas()[node],
           state.source->SubtreeSize(node)};
 }
 
@@ -125,7 +123,7 @@ QueryEngine::Response QueryEngine::RunOnState(const State& state,
         return response;
       }
       response.lambda =
-          state.view.clique_lambda[static_cast<std::size_t>(query.a)];
+          state.source->CliqueLambdas()[static_cast<std::size_t>(query.a)];
       return response;
     }
     case QueryKind::kNucleus: {
@@ -145,7 +143,7 @@ QueryEngine::Response QueryEngine::RunOnState(const State& state,
         return response;
       }
       const std::int32_t node =
-          ViewNucleusAtLevel(state.view, static_cast<CliqueId>(query.a),
+          ViewNucleusAtLevel(*state.source, static_cast<CliqueId>(query.a),
                              static_cast<Lambda>(query.b));
       if (node != kInvalidId) {
         response.found = true;
@@ -169,7 +167,7 @@ QueryEngine::Response QueryEngine::RunOnState(const State& state,
         return response;
       }
       const std::int32_t node = ViewSmallestCommonNucleus(
-          state.view, static_cast<CliqueId>(query.a),
+          *state.source, static_cast<CliqueId>(query.a),
           static_cast<CliqueId>(query.b));
       if (node != kInvalidId) {
         response.found = true;
@@ -188,12 +186,14 @@ QueryEngine::Response QueryEngine::RunOnState(const State& state,
         response.status = s;
         return response;
       }
-      const std::int64_t count = std::min(
-          query.a, static_cast<std::int64_t>(state.view.ranking.size()));
+      const std::span<const std::int32_t> ranking =
+          state.source->DensityRanking();
+      const std::int64_t count =
+          std::min(query.a, static_cast<std::int64_t>(ranking.size()));
       response.top.reserve(static_cast<std::size_t>(count));
       for (std::int64_t i = 0; i < count; ++i) {
-        response.top.push_back(MakeRef(
-            state, state.view.ranking[static_cast<std::size_t>(i)]));
+        response.top.push_back(
+            MakeRef(state, ranking[static_cast<std::size_t>(i)]));
       }
       return response;
     }
@@ -245,13 +245,14 @@ std::vector<QueryEngine::NucleusRef> QueryEngine::TopKDensest(
     std::int64_t k) const {
   const std::shared_ptr<const State> state = CurrentState();
   if (!state->source->Ensure(kNeedRanking | kNeedSizes).ok()) return {};
+  const std::span<const std::int32_t> ranking =
+      state->source->DensityRanking();
   const std::int64_t count =
-      std::min(k, static_cast<std::int64_t>(state->view.ranking.size()));
+      std::min(k, static_cast<std::int64_t>(ranking.size()));
   std::vector<NucleusRef> out;
   out.reserve(static_cast<std::size_t>(count));
   for (std::int64_t i = 0; i < count; ++i) {
-    out.push_back(MakeRef(
-        *state, state->view.ranking[static_cast<std::size_t>(i)]));
+    out.push_back(MakeRef(*state, ranking[static_cast<std::size_t>(i)]));
   }
   return out;
 }

@@ -16,12 +16,12 @@
 //                                     nucleus subtree, memoized in a
 //                                     sharded, byte-budgeted LRU cache.
 //
-// Construction goes through factories: FromSource serves any
-// SnapshotSource — a HeapSource (v1 semantics, everything resident) or an
-// MmapSource (zero-copy spans over a mapped v2 file; sections verify
-// lazily on the first query that needs them, members page in through the
-// LRU cache, which is then the engine's only heap-resident hot set).
-// FromSnapshotData wraps the data in a HeapSource — the tests' and
+// Construction goes through factories: FromSource serves a SnapshotSource
+// whether its v2 sections are owned (everything resident, verified up
+// front) or mapped (zero-copy spans over a v2 file; sections verify lazily
+// on the first query that needs them, members page in through the LRU
+// cache, which is then the engine's only heap-resident hot set).
+// FromSnapshotData encodes the data into an owned source — the tests' and
 // LiveUpdater's path.
 //
 // Since PR 4 the engine is UPDATABLE: ApplyUpdate swaps in the state of an
@@ -103,15 +103,15 @@ class QueryEngine {
     std::shared_ptr<const std::vector<CliqueId>> members;
   };
 
-  /// Serves an already-open source (heap or mmap). The engine shares
+  /// Serves an already-open source (owned or mapped). The engine shares
   /// ownership; a source may back several engines.
   static std::unique_ptr<QueryEngine> FromSource(
       std::shared_ptr<const SnapshotSource> source,
       const QueryEngineOptions& options = {});
 
-  /// Wraps `snapshot` in a HeapSource (v1 bulk-read semantics, index
-  /// tables adopted or built here once) — the path tests and the live
-  /// update pipeline use.
+  /// Encodes `snapshot` into an owned source (SnapshotSource::
+  /// FromSnapshotData: index tables adopted or built here once) — the path
+  /// tests and the live update pipeline use.
   static std::unique_ptr<QueryEngine> FromSnapshotData(
       SnapshotData snapshot, const QueryEngineOptions& options = {});
 
@@ -148,9 +148,9 @@ class QueryEngine {
   /// by epoch.
   Status ApplyUpdate(std::shared_ptr<const SnapshotSource> source);
 
-  /// Convenience overload: wraps the post-state of an edit batch (the
-  /// LiveUpdater product) in a HeapSource. Index tables and the density
-  /// ranking are built OUTSIDE the writer lock.
+  /// Convenience overload: encodes the post-state of an edit batch (the
+  /// LiveUpdater product) into an owned source. Index tables, member store
+  /// and density ranking are built OUTSIDE the writer lock.
   Status ApplyUpdate(SnapshotData snapshot);
 
   /// Number of state swaps applied so far (telemetry; initial state is 0).
@@ -179,12 +179,9 @@ class QueryEngine {
   LruCacheStats CacheStats() const { return members_cache_.Stats(); }
 
  private:
-  /// Everything a query touches, immutable once published. The SourceView
-  /// captures the source's spans once, so the per-query hot path does no
-  /// virtual dispatch.
+  /// Everything a query touches, immutable once published.
   struct State {
     std::shared_ptr<const SnapshotSource> source;
-    SourceView view;
     /// Cache-key prefix: entries of retired states become unreachable.
     std::uint64_t epoch = 0;
   };

@@ -31,7 +31,7 @@ std::int64_t EstimateLiveBytes(const Graph& g) {
 }  // namespace
 
 std::int64_t EstimateResidentBytes(const SnapshotData& snapshot) {
-  return EstimateSnapshotHeapBytes(snapshot);
+  return SnapshotSource::FromSnapshotData(snapshot)->HeapBytes();
 }
 
 SnapshotRegistry::SnapshotRegistry(const RegistryOptions& options)
@@ -65,9 +65,10 @@ SnapshotRegistry::LoadResidentImpl(const SnapshotRegistry* self,
   if (options.load_hook) options.load_hook(spec.name);
   if (spec.graph_path.empty()) {
     // Read-only tenant: honor the registry's memory mode. kMmap maps a
-    // v2 file zero-copy (OpenSnapshotSource falls back to heap for v1);
-    // either way the engine reports its own heap/mapped split, which is
-    // what the budget charges.
+    // v2 file zero-copy; kHeap reads it and verifies every section, so a
+    // corrupt file fails the attach here (a v1 file is upgraded in memory
+    // in either mode). The engine reports its own heap/mapped split,
+    // which is what the budget charges.
     StatusOr<std::shared_ptr<const SnapshotSource>> source =
         OpenSnapshotSource(spec.snapshot_path, options.memory_mode);
     if (!source.ok()) return source.status();

@@ -75,12 +75,13 @@ struct RegistryOptions {
   /// reclaims mapped pages under pressure on its own; evicting an mmap
   /// tenant just unmaps the file.
   std::int64_t memory_budget_bytes = 0;
-  /// How read-only tenants load their snapshot: kHeap materializes
-  /// everything (v1 semantics, any snapshot version); kMmap serves v2
-  /// files zero-copy from a private read-only mapping (a v1 file falls
-  /// back to heap). Live tenants (a graph is paired) always load heap —
-  /// chain resolution and the incremental maintainer need materialized
-  /// state.
+  /// How read-only tenants hold their snapshot: kHeap reads the file
+  /// into an owned buffer and verifies every section at load, so a corrupt
+  /// file fails the attach; kMmap serves it zero-copy from a private
+  /// read-only mapping and verifies each section on first use (a v1 file
+  /// is upgraded in memory in either mode). Live tenants (a graph is
+  /// paired) always load heap — chain resolution and the incremental
+  /// maintainer need materialized state.
   SnapshotMemoryMode memory_mode = SnapshotMemoryMode::kHeap;
   /// Per-engine member-cache shape (each tenant gets its own cache).
   QueryEngineOptions engine;
@@ -135,10 +136,9 @@ struct RegistrySummary {
   LruCacheStats detached_cache;
 };
 
-/// Rough resident footprint of a heap-loaded snapshot (lambdas,
-/// hierarchy, jump tables), used for budget accounting. Exposed so tests
-/// and benches can size eviction budgets relative to real tenants.
-/// Delegates to EstimateSnapshotHeapBytes (store/snapshot_source.h).
+/// Resident footprint of a heap-loaded snapshot — the HeapBytes() of its
+/// owned v2 encoding — used for budget accounting. Exposed so tests and
+/// benches can size eviction budgets relative to real tenants.
 std::int64_t EstimateResidentBytes(const SnapshotData& snapshot);
 
 class SnapshotRegistry;

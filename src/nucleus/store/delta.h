@@ -110,7 +110,7 @@ struct DeltaData {
 std::uint64_t LambdaFingerprint(const std::vector<Lambda>& lambda);
 
 /// Writes `delta` to `path` (write-temp-then-rename, checksummed,
-/// fsynced), exactly like SaveSnapshot.
+/// fsynced), exactly like SaveSnapshotV2.
 Status SaveDelta(const DeltaData& delta, const std::string& path);
 
 /// Loads and fully validates one delta record.

@@ -1,6 +1,5 @@
 #include "nucleus/store/snapshot.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -8,6 +7,7 @@
 #include <vector>
 
 #include "nucleus/store/record_io.h"
+#include "nucleus/store/snapshot_source.h"
 #include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/file_util.h"
 
@@ -15,7 +15,6 @@ namespace nucleus {
 namespace {
 
 using store_internal::ChecksummingReader;
-using store_internal::ChecksummingWriter;
 using store_internal::Fnv1a;
 using store_internal::kFnvOffset;
 
@@ -124,106 +123,16 @@ Status ReadHeader(ChecksummingReader* reader, const std::string& path,
   return Status::Ok();
 }
 
-/// Full structural validation of the loaded arrays — everything
-/// NucleusHierarchy::FromParts would abort on, surfaced as Status instead.
-Status ValidateParts(const Header& h, const std::vector<Lambda>& lambda,
-                     const std::vector<Lambda>& node_lambda,
-                     const std::vector<std::int32_t>& node_parent,
-                     const std::vector<std::int32_t>& node_of_clique,
-                     const std::string& path) {
-  if (node_lambda[0] != kRootLambda || node_parent[0] != kInvalidId) {
-    return Status::InvalidArgument(path +
-                                   ": node_parent: corrupt snapshot root "
-                                   "node");
-  }
-  Lambda max_lambda = 0;
-  for (std::int32_t i = 1; i < h.num_nodes; ++i) {
-    if (node_parent[i] < 0 || node_parent[i] >= i) {
-      return Status::InvalidArgument(path +
-                                     ": node_parent: corrupt parent order");
-    }
-    if (node_lambda[i] < 0 ||
-        node_lambda[node_parent[i]] >= node_lambda[i]) {
-      return Status::InvalidArgument(
-          path + ": node_lambda: non-increasing lambda chain");
-    }
-    if (node_lambda[i] > max_lambda) max_lambda = node_lambda[i];
-  }
-  if (max_lambda != h.max_lambda) {
-    return Status::InvalidArgument(path +
-                                   ": node_lambda: max lambda mismatch");
-  }
-  std::vector<char> has_member(static_cast<std::size_t>(h.num_nodes), 0);
-  for (std::int64_t u = 0; u < h.num_cliques; ++u) {
-    const std::int32_t id = node_of_clique[static_cast<std::size_t>(u)];
-    if (id < 0 || id >= h.num_nodes) {
-      return Status::InvalidArgument(
-          path + ": node_of_clique: clique assigned out of range");
-    }
-    if (lambda[static_cast<std::size_t>(u)] != node_lambda[id]) {
-      return Status::InvalidArgument(
-          path + ": lambda: lambda / node assignment mismatch");
-    }
-    has_member[id] = 1;
-  }
-  for (std::int32_t i = 1; i < h.num_nodes; ++i) {
-    if (!has_member[i]) {
-      return Status::InvalidArgument(
-          path + ": node_of_clique: memberless non-root node");
-    }
-  }
-  return Status::Ok();
-}
-
-/// Jump tables must be EXACTLY what HierarchyIndex would compute for this
-/// tree; the recheck is a few linear passes, orders cheaper than a
-/// traversal-based rebuild, and guarantees Tables() round-trips
-/// bit-identically.
-Status ValidateIndexTables(const Header& h,
-                           const std::vector<std::int32_t>& node_parent,
-                           const HierarchyIndexTables& tables,
-                           const std::string& path) {
-  const std::int32_t n = h.num_nodes;
-  std::int32_t max_depth = 0;
-  if (tables.depth[0] != 0) {
-    return Status::InvalidArgument(path + ": depth: corrupt index depth "
-                                          "table");
-  }
-  for (std::int32_t i = 1; i < n; ++i) {
-    // Parents precede children, so depth[parent] is already verified.
-    if (tables.depth[i] != tables.depth[node_parent[i]] + 1) {
-      return Status::InvalidArgument(path + ": depth: corrupt index depth "
-                                            "table");
-    }
-    if (tables.depth[i] > max_depth) max_depth = tables.depth[i];
-  }
-  std::int32_t expected_levels = 1;
-  while ((1 << expected_levels) <= std::max(max_depth, 1)) ++expected_levels;
-  if (tables.levels != expected_levels) {
-    return Status::InvalidArgument(path + ": up: index level count "
-                                          "mismatch");
-  }
-  const auto up = [&](std::int32_t j, std::int32_t x) {
-    return tables.up[static_cast<std::size_t>(j) * n + x];
-  };
-  for (std::int32_t x = 0; x < n; ++x) {
-    if (up(0, x) != node_parent[x]) {
-      return Status::InvalidArgument(path + ": up: corrupt index jump "
-                                            "table");
-    }
-  }
-  for (std::int32_t j = 1; j < tables.levels; ++j) {
-    for (std::int32_t x = 0; x < n; ++x) {
-      const std::int32_t half = up(j - 1, x);
-      const std::int32_t expect =
-          half == kInvalidId ? kInvalidId : up(j - 1, half);
-      if (up(j, x) != expect) {
-        return Status::InvalidArgument(path + ": up: corrupt index jump "
-                                              "table");
-      }
-    }
-  }
-  return Status::Ok();
+SnapshotMeta MetaOf(const Header& header) {
+  SnapshotMeta meta;
+  meta.family = static_cast<Family>(header.family);
+  meta.algorithm = static_cast<Algorithm>(header.algorithm);
+  meta.num_vertices = header.num_vertices;
+  meta.num_edges = header.num_edges;
+  meta.graph_fingerprint = header.graph_fingerprint;
+  meta.num_cliques = header.num_cliques;
+  meta.max_lambda = header.max_lambda;
+  return meta;
 }
 
 }  // namespace
@@ -274,124 +183,14 @@ SnapshotData MakeSnapshot(const Graph& g, const DecomposeOptions& options,
   return snapshot;
 }
 
-namespace {
-
-/// The actual serialization, against an already-open stream.
-Status WriteSnapshotTo(const SnapshotData& snapshot, std::FILE* f,
-                       const std::string& path) {
-  ChecksummingWriter writer(f, path);
-
-  const NucleusHierarchy& h = snapshot.hierarchy;
-  const std::int32_t num_nodes = static_cast<std::int32_t>(h.NumNodes());
-  const std::int64_t num_cliques = h.NumCliques();
-  NUCLEUS_CHECK(num_cliques == snapshot.meta.num_cliques);
-  NUCLEUS_CHECK(static_cast<std::int64_t>(snapshot.peel.lambda.size()) ==
-                num_cliques);
-
-  const std::uint32_t flags =
-      snapshot.has_index ? kSnapshotFlagHasIndex : 0u;
-  const std::int32_t levels =
-      snapshot.has_index ? snapshot.index_tables.levels : 0;
-  if (Status s = writer.Write(kSnapshotMagic, sizeof(kSnapshotMagic));
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(kSnapshotVersion); !s.ok()) return s;
-  if (Status s = writer.WriteValue(flags); !s.ok()) return s;
-  if (Status s =
-          writer.WriteValue(static_cast<std::int32_t>(snapshot.meta.family));
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(
-          static_cast<std::int32_t>(snapshot.meta.algorithm));
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(snapshot.meta.num_vertices); !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(snapshot.meta.num_edges); !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(snapshot.meta.graph_fingerprint);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(num_cliques); !s.ok()) return s;
-  if (Status s = writer.WriteValue(snapshot.meta.max_lambda); !s.ok()) {
-    return s;
-  }
-  if (Status s = writer.WriteValue(num_nodes); !s.ok()) return s;
-  if (Status s = writer.WriteValue(levels); !s.ok()) return s;
-
-  if (Status s = writer.WriteArray(snapshot.peel.lambda); !s.ok()) return s;
-
-  // Node arrays are assembled per section so the write stays streamed even
-  // for hierarchies whose member lists dwarf memory locality.
-  std::vector<Lambda> node_lambda(static_cast<std::size_t>(num_nodes));
-  std::vector<std::int32_t> node_parent(static_cast<std::size_t>(num_nodes));
-  for (std::int32_t i = 0; i < num_nodes; ++i) {
-    node_lambda[i] = h.node(i).lambda;
-    node_parent[i] = h.node(i).parent;
-  }
-  if (Status s = writer.WriteArray(node_lambda); !s.ok()) return s;
-  if (Status s = writer.WriteArray(node_parent); !s.ok()) return s;
-
-  std::vector<std::int32_t> node_of_clique(
-      static_cast<std::size_t>(num_cliques));
-  for (std::int64_t u = 0; u < num_cliques; ++u) {
-    node_of_clique[static_cast<std::size_t>(u)] =
-        h.NodeOfClique(static_cast<CliqueId>(u));
-  }
-  if (Status s = writer.WriteArray(node_of_clique); !s.ok()) return s;
-
-  if (snapshot.has_index) {
-    NUCLEUS_CHECK(static_cast<std::int32_t>(
-                      snapshot.index_tables.depth.size()) == num_nodes);
-    NUCLEUS_CHECK(snapshot.index_tables.up.size() ==
-                  static_cast<std::size_t>(levels) * num_nodes);
-    if (Status s = writer.WriteArray(snapshot.index_tables.depth); !s.ok()) {
-      return s;
-    }
-    if (Status s = writer.WriteArray(snapshot.index_tables.up); !s.ok()) {
-      return s;
-    }
-  }
-
-  const std::uint64_t checksum = writer.checksum();
-  if (std::fwrite(&checksum, 1, sizeof(checksum), f) != sizeof(checksum)) {
-    return Status::Internal("short write to " + path);
-  }
-  return store_internal::FlushToDevice(f, path);
-}
-
-}  // namespace
-
-Status SaveSnapshot(const SnapshotData& snapshot, const std::string& path) {
-  return store_internal::WriteFileAtomically(
-      path, [&snapshot](std::FILE* f, const std::string& temp_path) {
-        return WriteSnapshotTo(snapshot, f, temp_path);
-      });
-}
-
 StatusOr<SnapshotData> LoadSnapshot(const std::string& path) {
   // Version dispatch on the magic: v2 files load eagerly through the
   // sectioned reader into the same SnapshotData, so chains, updates and
-  // tooling are format-transparent. Anything else falls through to the v1
-  // reader, whose header check owns the bad-magic diagnosis.
-  {
-    FilePtr probe(std::fopen(path.c_str(), "rb"));
-    if (probe == nullptr) {
-      return Status::NotFound("cannot open " + path);
-    }
-    char magic[8];
-    if (std::fread(magic, 1, sizeof(magic), probe.get()) == sizeof(magic) &&
-        std::memcmp(magic, kSnapshotV2Magic, sizeof(kSnapshotV2Magic)) ==
-            0) {
-      return LoadSnapshotV2(path);
-    }
-  }
+  // tooling are format-transparent. v1 files are read below, only so they
+  // can be upgraded.
+  StatusOr<std::uint32_t> version = ReadSnapshotVersion(path);
+  if (!version.ok()) return version.status();
+  if (*version == 2) return LoadSnapshotV2(path);
   FilePtr file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
     return Status::NotFound("cannot open " + path);
@@ -416,13 +215,7 @@ StatusOr<SnapshotData> LoadSnapshot(const std::string& path) {
   }
 
   SnapshotData snapshot;
-  snapshot.meta.family = static_cast<Family>(header.family);
-  snapshot.meta.algorithm = static_cast<Algorithm>(header.algorithm);
-  snapshot.meta.num_vertices = header.num_vertices;
-  snapshot.meta.num_edges = header.num_edges;
-  snapshot.meta.graph_fingerprint = header.graph_fingerprint;
-  snapshot.meta.num_cliques = header.num_cliques;
-  snapshot.meta.max_lambda = header.max_lambda;
+  snapshot.meta = MetaOf(header);
   snapshot.has_index = (header.flags & kSnapshotFlagHasIndex) != 0;
 
   std::vector<Lambda> node_lambda;
@@ -473,14 +266,27 @@ StatusOr<SnapshotData> LoadSnapshot(const std::string& path) {
         path + ": footer: checksum mismatch (corrupt snapshot)");
   }
 
-  if (Status s = ValidateParts(header, snapshot.peel.lambda, node_lambda,
-                               node_parent, node_of_clique, path);
+  // v1 arrays obey the same structural rulebook as their v2 sections.
+  store_v2_internal::V2Header v2_header;
+  v2_header.meta = snapshot.meta;
+  v2_header.num_nodes = header.num_nodes;
+  v2_header.levels = header.levels;
+  if (Status s = store_v2_internal::ValidateTreeSections(
+          path, v2_header, node_lambda.data(), node_parent.data());
+      !s.ok()) {
+    return s;
+  }
+  if (Status s = store_v2_internal::ValidateAssignSections(
+          path, v2_header, snapshot.peel.lambda.data(), node_lambda.data(),
+          node_of_clique.data());
       !s.ok()) {
     return s;
   }
   if (snapshot.has_index) {
-    if (Status s = ValidateIndexTables(header, node_parent,
-                                       snapshot.index_tables, path);
+    if (Status s = store_v2_internal::ValidateIndexSections(
+            path, v2_header, node_parent.data(),
+            snapshot.index_tables.depth.data(),
+            snapshot.index_tables.up.data());
         !s.ok()) {
       return s;
     }
@@ -494,49 +300,23 @@ StatusOr<SnapshotData> LoadSnapshot(const std::string& path) {
 }
 
 StatusOr<SnapshotMeta> ReadSnapshotMeta(const std::string& path) {
+  StatusOr<std::uint32_t> version = ReadSnapshotVersion(path);
+  if (!version.ok()) return version.status();
+  if (*version == 2) {
+    // Mapping validates the header + directory in O(header).
+    StatusOr<std::shared_ptr<const SnapshotSource>> source =
+        SnapshotSource::OpenV2(path, SnapshotMemoryMode::kMmap);
+    if (!source.ok()) return source.status();
+    return (*source)->meta();
+  }
   FilePtr file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) {
     return Status::NotFound("cannot open " + path);
   }
-  // Same magic dispatch as LoadSnapshot: a v2 header carries the identical
-  // meta block, validated (with the directory) in O(header).
-  {
-    char magic[8];
-    const std::size_t got = std::fread(magic, 1, sizeof(magic), file.get());
-    std::rewind(file.get());
-    if (got == sizeof(magic) &&
-        std::memcmp(magic, kSnapshotV2Magic, sizeof(kSnapshotV2Magic)) ==
-            0) {
-      StatusOr<std::int64_t> actual = FileSize(file.get(), path);
-      if (!actual.ok()) return actual.status();
-      std::vector<unsigned char> bytes(
-          static_cast<std::size_t>(std::min<std::int64_t>(
-              *actual, kSnapshotV2HeaderBytes)));
-      if (std::fread(bytes.data(), 1, bytes.size(), file.get()) !=
-          bytes.size()) {
-        return Status::OutOfRange(path + ": header: truncated snapshot");
-      }
-      store_v2_internal::V2Header v2_header;
-      if (Status s = store_v2_internal::ParseV2Header(bytes.data(), *actual,
-                                                      path, &v2_header);
-          !s.ok()) {
-        return s;
-      }
-      return v2_header.meta;
-    }
-  }
   ChecksummingReader reader(file.get(), path);
   Header header;
   if (Status s = ReadHeader(&reader, path, &header); !s.ok()) return s;
-  SnapshotMeta meta;
-  meta.family = static_cast<Family>(header.family);
-  meta.algorithm = static_cast<Algorithm>(header.algorithm);
-  meta.num_vertices = header.num_vertices;
-  meta.num_edges = header.num_edges;
-  meta.graph_fingerprint = header.graph_fingerprint;
-  meta.num_cliques = header.num_cliques;
-  meta.max_lambda = header.max_lambda;
-  return meta;
+  return MetaOf(header);
 }
 
 }  // namespace nucleus

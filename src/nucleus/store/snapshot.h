@@ -2,48 +2,23 @@
 // decomposition result.
 //
 // The paper's premise is that the hierarchy is built ONCE so that
-// community-search questions become cheap tree lookups; until this module
-// existed, everything downstream of Decompose — the per-clique lambdas, the
-// contracted NucleusHierarchy, the binary-lifting tables of HierarchyIndex —
-// died with the process and every query re-ran the full decomposition. A
-// snapshot captures all of it behind a versioned, checksummed header, so a
-// serving process (serve/query_engine.h) loads in bulk reads what a
-// decomposition takes peel + traversal time to recompute.
+// community-search questions become cheap tree lookups. A snapshot
+// captures everything downstream of Decompose — the per-clique lambdas,
+// the contracted NucleusHierarchy, the binary-lifting tables of
+// HierarchyIndex — so a serving process (serve/query_engine.h) opens what
+// a decomposition takes peel + traversal time to recompute.
 //
-// On-disk layout (integers in host byte order; like the binary CSR graph
-// format this is a processing artifact, not an interchange format — see
-// README.md in this directory for the full spec):
-//
-//   header (64 bytes, fixed):
-//     bytes  0..7   magic "NUCSNAP1"
-//     bytes  8..11  format version (uint32, currently 1)
-//     bytes 12..15  flags (uint32; bit 0 = index tables present)
-//     bytes 16..19  family (int32, Family enum value)
-//     bytes 20..23  algorithm (int32, Algorithm enum value)
-//     bytes 24..27  |V| of the source graph (int32)
-//     bytes 28..35  |E| of the source graph (int64)
-//     bytes 36..43  graph fingerprint (uint64, FNV-1a over the CSR arrays)
-//     bytes 44..51  |K_r| = number of cliques (int64)
-//     bytes 52..55  max lambda (int32)
-//     bytes 56..59  hierarchy node count (int32)
-//     bytes 60..63  index levels (int32; 0 iff bit 0 of flags is clear)
-//   payload (sizes fully determined by the header):
-//     lambda          |K_r|  x int32     peeling numbers per clique id
-//     node_lambda     nodes  x int32     per hierarchy node
-//     node_parent     nodes  x int32     kInvalidId for the root (node 0)
-//     node_of_clique  |K_r|  x int32     deepest node of every clique
-//     [depth          nodes  x int32]    only with index tables
-//     [up      levels*nodes  x int32]    binary-lifting ancestors, row-major
-//   footer (8 bytes):
-//     checksum (uint64, FNV-1a over header + payload bytes)
-//
-// Children lists, member lists and subtree aggregates are derivable from
-// node_parent / node_of_clique and are rebuilt on load
-// (NucleusHierarchy::FromParts), keeping the file near the information-
-// theoretic minimum. LoadSnapshot validates untrusted input strictly —
-// short files, bad magic, impossible headers, payload/checksum mismatches
-// and structurally inconsistent trees all surface as Status errors, never
-// as aborts or over-allocation.
+// This header holds the format-independent pieces: SnapshotMeta /
+// SnapshotData, MakeSnapshot, and the version-dispatching LoadSnapshot.
+// The format is v2 (snapshot_v2.h, written by SaveSnapshotV2, served by
+// store/snapshot_source.h). The original v1 layout is only READ, so old
+// files can be upgraded (LoadSnapshot, OpenSnapshotSource in either memory
+// mode, `nucleus_cli snapshot-upgrade`); nothing writes it any more. Its
+// spec stays in README.md in this directory. The v1 reader validates
+// untrusted input as strictly as the v2 one — short files, bad magic,
+// impossible headers, payload/checksum mismatches and structurally
+// inconsistent trees all surface as Status errors, never as aborts or
+// over-allocation.
 #ifndef NUCLEUS_STORE_SNAPSHOT_H_
 #define NUCLEUS_STORE_SNAPSHOT_H_
 
@@ -105,18 +80,16 @@ SnapshotData MakeSnapshot(const Graph& g, const DecomposeOptions& options,
 SnapshotData MakeSnapshot(const Graph& g, const DecomposeOptions& options,
                           DecompositionResult&& result, bool with_index);
 
-/// Writes `snapshot` to `path` (overwriting), streaming the sections
-/// through an incremental checksum. Fails with kInternal on IO errors.
-Status SaveSnapshot(const SnapshotData& snapshot, const std::string& path);
-
-/// Loads a .nucsnap file: header validation, single-allocation bulk array
-/// reads, checksum verification, then full structural validation of the
-/// tree and (if present) the jump tables. Every corruption mode returns a
-/// Status; the returned data is safe to feed to NucleusHierarchy::FromParts
-/// (already done — `hierarchy` is rebuilt) and HierarchyIndex.
+/// Loads a .nucsnap file of either version into a heap SnapshotData: v2
+/// files through LoadSnapshotV2, v1 files through header validation,
+/// single-allocation bulk array reads, checksum verification, then full
+/// structural validation of the tree and (if present) the jump tables.
+/// Every corruption mode returns a Status; `hierarchy` is rebuilt
+/// (NucleusHierarchy::FromParts). A v1 file keeps its has_index flag.
 StatusOr<SnapshotData> LoadSnapshot(const std::string& path);
 
-/// Reads and validates only the header — a cheap probe for tooling.
+/// Reads and validates only the header (either version) — a cheap probe
+/// for tooling.
 StatusOr<SnapshotMeta> ReadSnapshotMeta(const std::string& path);
 
 }  // namespace nucleus

@@ -6,79 +6,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
-#include "nucleus/store/record_io.h"
-#include "nucleus/store/snapshot_v2.h"
-#include "nucleus/util/mutex.h"
-
 namespace nucleus {
-
-// ---------------------------------------------------------------------------
-// HeapSource
-
-HeapSource::HeapSource(SnapshotData snapshot)
-    : snapshot_(std::move(snapshot)) {
-  const NucleusHierarchy& h = snapshot_.hierarchy;
-  const std::int32_t n = static_cast<std::int32_t>(h.NumNodes());
-  node_lambda_.resize(static_cast<std::size_t>(n));
-  node_parent_.resize(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) {
-    node_lambda_[i] = h.node(i).lambda;
-    node_parent_[i] = h.node(i).parent;
-  }
-  tables_ = snapshot_.has_index ? snapshot_.index_tables
-                                : HierarchyIndex(h).Tables();
-  ranking_.reserve(static_cast<std::size_t>(h.NumNuclei()));
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (node_lambda_[i] >= 1) ranking_.push_back(i);
-  }
-  std::sort(ranking_.begin(), ranking_.end(),
-            [this](std::int32_t a, std::int32_t b) {
-              if (node_lambda_[a] != node_lambda_[b]) {
-                return node_lambda_[a] > node_lambda_[b];
-              }
-              return a < b;
-            });
-  heap_bytes_ =
-      EstimateSnapshotHeapBytes(snapshot_) +
-      static_cast<std::int64_t>(node_lambda_.size() + node_parent_.size() +
-                                ranking_.size()) *
-          sizeof(std::int32_t) +
-      (snapshot_.has_index
-           ? 0
-           : static_cast<std::int64_t>(tables_.depth.size() +
-                                       tables_.up.size()) *
-                 sizeof(std::int32_t));
-}
-
-std::int64_t EstimateSnapshotHeapBytes(const SnapshotData& snapshot) {
-  const NucleusHierarchy& h = snapshot.hierarchy;
-  std::int64_t bytes = 0;
-  bytes += static_cast<std::int64_t>(snapshot.peel.lambda.size()) *
-           sizeof(Lambda);
-  bytes += h.NumCliques() * sizeof(std::int32_t);  // node_of_clique
-  for (std::int32_t id = 0; id < h.NumNodes(); ++id) {
-    const auto& node = h.node(id);
-    bytes += static_cast<std::int64_t>(sizeof(NucleusHierarchy::Node));
-    bytes += static_cast<std::int64_t>(node.children.size()) *
-             sizeof(std::int32_t);
-    bytes += static_cast<std::int64_t>(node.members.size()) *
-             sizeof(CliqueId);
-  }
-  if (snapshot.has_index) {
-    bytes += static_cast<std::int64_t>(snapshot.index_tables.depth.size() +
-                                       snapshot.index_tables.up.size()) *
-             sizeof(std::int32_t);
-  }
-  return bytes;
-}
-
-// ---------------------------------------------------------------------------
-// MmapSource
 
 namespace {
 
@@ -106,310 +38,306 @@ std::uint32_t GroupsForNeeds(std::uint32_t needs) {
   return groups;
 }
 
-class MmapSource final : public SnapshotSource {
- public:
-  static StatusOr<std::shared_ptr<const SnapshotSource>> Open(
-      const std::string& path);
-
-  MmapSource(const MmapSource&) = delete;
-  MmapSource& operator=(const MmapSource&) = delete;
-
-  ~MmapSource() override {
-    if (base_ != nullptr) ::munmap(base_, static_cast<std::size_t>(size_));
-  }
-
-  const SnapshotMeta& meta() const override { return header_.meta; }
-  std::int32_t NumNodes() const override { return header_.num_nodes; }
-  std::int64_t NumNuclei() const override { return header_.num_ranked; }
-
-  std::span<const Lambda> CliqueLambdas() const override {
-    return Section<Lambda>(SnapshotSection::kLambda);
-  }
-  std::span<const Lambda> NodeLambdas() const override {
-    return Section<Lambda>(SnapshotSection::kNodeLambda);
-  }
-  std::span<const std::int32_t> NodeParents() const override {
-    return Section<std::int32_t>(SnapshotSection::kNodeParent);
-  }
-  std::span<const std::int32_t> NodeOfCliques() const override {
-    return Section<std::int32_t>(SnapshotSection::kNodeOfClique);
-  }
-  std::span<const std::int32_t> Depths() const override {
-    return Section<std::int32_t>(SnapshotSection::kDepth);
-  }
-  std::span<const std::int32_t> UpTable() const override {
-    return Section<std::int32_t>(SnapshotSection::kUp);
-  }
-  std::int32_t IndexLevels() const override { return header_.levels; }
-  std::span<const std::int32_t> DensityRanking() const override {
-    return Section<std::int32_t>(SnapshotSection::kDensityRanking);
-  }
-
-  std::int64_t SubtreeSize(std::int32_t node) const override {
-    return SubEnd()[node] - SubBegin()[node];
-  }
-
-  std::vector<CliqueId> MaterializeMembers(std::int32_t node) const override {
-    const auto pre = Section<std::int32_t>(SnapshotSection::kCliquesPre);
-    const std::int64_t begin = SubBegin()[node];
-    const std::int64_t end = SubEnd()[node];
-    // One contiguous slice of the member store; re-sorting ascending makes
-    // the result bit-identical to the heap path's MembersOfSubtree.
-    std::vector<CliqueId> members(pre.begin() + begin, pre.begin() + end);
-    std::sort(members.begin(), members.end());
-    return members;
-  }
-
-  Status Ensure(std::uint32_t needs) const override {
-    const std::uint32_t groups = GroupsForNeeds(needs);
-    if ((verified_.load(std::memory_order_acquire) & groups) == groups) {
-      return Status::Ok();
+/// Reads exactly `size` bytes from `fd` into `data`.
+Status ReadFully(int fd, unsigned char* data, std::int64_t size,
+                 const std::string& path) {
+  std::int64_t got = 0;
+  while (got < size) {
+    const ssize_t n =
+        ::read(fd, data + got, static_cast<std::size_t>(size - got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::Internal(path + ": read failed: " +
+                              std::strerror(errno));
     }
-    MutexLock lock(verify_mutex_);
-    // A sticky failure: one corrupt section poisons the source, every
-    // later query gets the original diagnosis instead of a re-scan.
-    if (!error_.ok()) return error_;
-    // Fixed order = dependency order (tree before everything, sub before
-    // pre), regardless of which bits the caller asked for first.
-    const std::uint32_t todo =
-        groups & ~verified_.load(std::memory_order_relaxed);
-    for (const std::uint32_t group :
-         {kGroupTree, kGroupAssign, kGroupIndex, kGroupSub, kGroupPre,
-          kGroupRanking}) {
-      if ((todo & group) == 0) continue;
-      if (Status s = VerifyGroup(group); !s.ok()) {
-        error_ = s;
-        return error_;
-      }
-      verified_.fetch_or(group, std::memory_order_release);
+    if (n == 0) {
+      return Status::OutOfRange(path + ": file: truncated while reading");
     }
-    return Status::Ok();
+    got += n;
   }
-
-  std::int64_t HeapBytes() const override {
-    return static_cast<std::int64_t>(sizeof(MmapSource));
-  }
-  std::int64_t MappedBytes() const override { return size_; }
-
- private:
-  MmapSource(void* base, std::int64_t size, std::string path,
-             const v2::V2Header& header)
-      : base_(base), size_(size), path_(std::move(path)), header_(header) {}
-
-  template <typename T>
-  std::span<const T> Section(SnapshotSection id) const {
-    const v2::V2Header& h = header_;
-    const SnapshotSectionEntry& entry =
-        h.sections[static_cast<std::uint32_t>(id) - 1];
-    const auto* data = reinterpret_cast<const T*>(
-        static_cast<const unsigned char*>(base_) + entry.offset);
-    return {data, static_cast<std::size_t>(entry.length) / sizeof(T)};
-  }
-
-  std::span<const std::int64_t> SubBegin() const {
-    return Section<std::int64_t>(SnapshotSection::kSubBegin);
-  }
-  std::span<const std::int64_t> SubEnd() const {
-    return Section<std::int64_t>(SnapshotSection::kSubEnd);
-  }
-
-  Status VerifyDigests(std::initializer_list<SnapshotSection> sections)
-      const {
-    const auto* base = static_cast<const unsigned char*>(base_);
-    for (const SnapshotSection id : sections) {
-      const SnapshotSectionEntry& entry =
-          header_.sections[static_cast<std::uint32_t>(id) - 1];
-      if (Status s = v2::VerifySectionDigest(base, entry, id, path_);
-          !s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status VerifyGroup(std::uint32_t group) const {
-    switch (group) {
-      case kGroupTree:
-        if (Status s = VerifyDigests({SnapshotSection::kNodeLambda,
-                                      SnapshotSection::kNodeParent});
-            !s.ok()) {
-          return s;
-        }
-        return v2::ValidateTreeSections(path_, header_, NodeLambdas().data(),
-                                        NodeParents().data());
-      case kGroupAssign:
-        if (Status s = VerifyDigests({SnapshotSection::kLambda,
-                                      SnapshotSection::kNodeOfClique});
-            !s.ok()) {
-          return s;
-        }
-        return v2::ValidateAssignSections(path_, header_,
-                                          CliqueLambdas().data(),
-                                          NodeLambdas().data(),
-                                          NodeOfCliques().data());
-      case kGroupIndex:
-        if (Status s = VerifyDigests(
-                {SnapshotSection::kDepth, SnapshotSection::kUp});
-            !s.ok()) {
-          return s;
-        }
-        return v2::ValidateIndexSections(path_, header_,
-                                         NodeParents().data(),
-                                         Depths().data(), UpTable().data());
-      case kGroupSub:
-        if (Status s = VerifyDigests({SnapshotSection::kSubBegin,
-                                      SnapshotSection::kSubEnd});
-            !s.ok()) {
-          return s;
-        }
-        return v2::ValidateSubSections(path_, header_, NodeParents().data(),
-                                       NodeOfCliques().data(),
-                                       SubBegin().data(), SubEnd().data());
-      case kGroupPre:
-        if (Status s = VerifyDigests({SnapshotSection::kCliquesPre});
-            !s.ok()) {
-          return s;
-        }
-        return v2::ValidateCliquesPre(
-            path_, header_, NodeOfCliques().data(), SubBegin().data(),
-            SubEnd().data(),
-            Section<std::int32_t>(SnapshotSection::kCliquesPre).data());
-      case kGroupRanking:
-        if (Status s = VerifyDigests({SnapshotSection::kDensityRanking});
-            !s.ok()) {
-          return s;
-        }
-        return v2::ValidateRankingSection(path_, header_,
-                                          NodeLambdas().data(),
-                                          DensityRanking().data());
-      default:
-        return Status::Internal("unknown verification group");
-    }
-  }
-
-  void* base_ = nullptr;
-  std::int64_t size_ = 0;
-  std::string path_;
-  v2::V2Header header_;
-
-  mutable std::atomic<std::uint32_t> verified_{0};
-  mutable Mutex verify_mutex_;
-  // Sticky first verification failure.
-  mutable Status error_ GUARDED_BY(verify_mutex_);
-};
-
-StatusOr<std::shared_ptr<const SnapshotSource>> MmapSource::Open(
-    const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::NotFound("cannot open " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Internal(path + ": fstat failed: " +
-                            std::strerror(err));
-  }
-  const std::int64_t size = static_cast<std::int64_t>(st.st_size);
-  if (size < kSnapshotV2HeaderBytes) {
-    ::close(fd);
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-  void* base = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
-                      MAP_PRIVATE, fd, 0);
-  // The mapping keeps its own reference to the file; the descriptor is
-  // only needed to create it.
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    return Status::Internal(path + ": mmap failed: " + std::strerror(errno));
-  }
-  v2::V2Header header;
-  if (Status s = v2::ParseV2Header(static_cast<const unsigned char*>(base),
-                                   size, path, &header);
-      !s.ok()) {
-    ::munmap(base, static_cast<std::size_t>(size));
-    return s;
-  }
-  return std::shared_ptr<const SnapshotSource>(
-      new MmapSource(base, size, path, header));
+  return Status::Ok();
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Factory + view primitives
+SnapshotSource::~SnapshotSource() {
+  if (mapping_ != nullptr) ::munmap(mapping_, static_cast<std::size_t>(size_));
+}
+
+std::shared_ptr<const SnapshotSource> SnapshotSource::FromSnapshotData(
+    const SnapshotData& snapshot) {
+  v2::V2Image image;
+  v2::PlanV2Image(snapshot, &image);
+  std::shared_ptr<SnapshotSource> source(new SnapshotSource());
+  source->path_ = "in-memory snapshot";
+  source->size_ = image.size;
+  // Value-initialized, so the alignment padding between sections is zero
+  // exactly as in a written file.
+  source->owned_.reset(
+      new std::uint64_t[static_cast<std::size_t>(image.size / 8)]());
+  auto* bytes = reinterpret_cast<unsigned char*>(source->owned_.get());
+  std::memcpy(bytes, image.header.data(), image.header.size());
+  for (const auto& section : image.sections) {
+    if (section.length > 0) {
+      std::memcpy(bytes + section.offset, section.data,
+                  static_cast<std::size_t>(section.length));
+    }
+  }
+  source->base_ = bytes;
+  const Status adopted = source->Adopt();
+  NUCLEUS_CHECK(adopted.ok());
+  source->verified_.store(GroupsForNeeds(kNeedAll),
+                          std::memory_order_relaxed);
+  return source;
+}
+
+StatusOr<std::shared_ptr<const SnapshotSource>> SnapshotSource::OpenV2(
+    const std::string& path, SnapshotMemoryMode mode) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::NotFound("cannot open " + path);
+  }
+  std::shared_ptr<SnapshotSource> source(new SnapshotSource());
+  source->path_ = path;
+  const Status loaded = [&]() -> Status {
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      return Status::Internal(path + ": fstat failed: " +
+                              std::strerror(errno));
+    }
+    source->size_ = static_cast<std::int64_t>(st.st_size);
+    if (source->size_ < kSnapshotV2HeaderBytes) {
+      return Status::OutOfRange(path + ": header: truncated snapshot");
+    }
+    if (mode == SnapshotMemoryMode::kHeap) {
+      source->owned_.reset(new std::uint64_t[static_cast<std::size_t>(
+          (source->size_ + 7) / 8)]);
+      auto* bytes = reinterpret_cast<unsigned char*>(source->owned_.get());
+      source->base_ = bytes;
+      return ReadFully(fd, bytes, source->size_, path);
+    }
+    void* base = ::mmap(nullptr, static_cast<std::size_t>(source->size_),
+                        PROT_READ, MAP_PRIVATE, fd, 0);
+    if (base == MAP_FAILED) {
+      return Status::Internal(path + ": mmap failed: " +
+                              std::strerror(errno));
+    }
+    source->mapping_ = base;
+    source->base_ = static_cast<const unsigned char*>(base);
+    return Status::Ok();
+  }();
+  // A mapping keeps its own reference to the file; the descriptor is only
+  // needed to create it (or to read the owned copy).
+  ::close(fd);
+  if (!loaded.ok()) return loaded;
+  if (Status s = source->Adopt(); !s.ok()) return s;
+  if (mode == SnapshotMemoryMode::kHeap) {
+    if (Status s = source->Ensure(kNeedAll); !s.ok()) return s;
+  }
+  return std::shared_ptr<const SnapshotSource>(std::move(source));
+}
+
+Status SnapshotSource::Adopt() {
+  if (Status s = v2::ParseV2Header(base_, size_, path_, &header_); !s.ok()) {
+    return s;
+  }
+  lambda_ = Section<Lambda>(SnapshotSection::kLambda);
+  node_lambda_ = Section<Lambda>(SnapshotSection::kNodeLambda);
+  node_parent_ = Section<std::int32_t>(SnapshotSection::kNodeParent);
+  node_of_clique_ = Section<std::int32_t>(SnapshotSection::kNodeOfClique);
+  depth_ = Section<std::int32_t>(SnapshotSection::kDepth);
+  up_ = Section<std::int32_t>(SnapshotSection::kUp);
+  sub_begin_ = Section<std::int64_t>(SnapshotSection::kSubBegin);
+  sub_end_ = Section<std::int64_t>(SnapshotSection::kSubEnd);
+  cliques_pre_ = Section<std::int32_t>(SnapshotSection::kCliquesPre);
+  ranking_ = Section<std::int32_t>(SnapshotSection::kDensityRanking);
+  return Status::Ok();
+}
+
+template <typename T>
+std::span<const T> SnapshotSource::Section(SnapshotSection id) const {
+  const SnapshotSectionEntry& entry =
+      header_.sections[static_cast<std::uint32_t>(id) - 1];
+  return {reinterpret_cast<const T*>(base_ + entry.offset),
+          static_cast<std::size_t>(entry.length) / sizeof(T)};
+}
+
+std::vector<CliqueId> SnapshotSource::MaterializeMembers(
+    std::int32_t node) const {
+  // One contiguous slice of the member store, re-sorted ascending.
+  std::vector<CliqueId> members(cliques_pre_.begin() + sub_begin_[node],
+                                cliques_pre_.begin() + sub_end_[node]);
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
+Status SnapshotSource::Ensure(std::uint32_t needs) const {
+  const std::uint32_t groups = GroupsForNeeds(needs);
+  if ((verified_.load(std::memory_order_acquire) & groups) == groups) {
+    return Status::Ok();
+  }
+  MutexLock lock(verify_mutex_);
+  // A sticky failure: one corrupt section poisons the source, every later
+  // query gets the original diagnosis instead of a re-scan.
+  if (!error_.ok()) return error_;
+  // Fixed order = dependency order (tree before everything, sub before
+  // pre), regardless of which bits the caller asked for first.
+  const std::uint32_t todo =
+      groups & ~verified_.load(std::memory_order_relaxed);
+  for (const std::uint32_t group :
+       {kGroupTree, kGroupAssign, kGroupIndex, kGroupSub, kGroupPre,
+        kGroupRanking}) {
+    if ((todo & group) == 0) continue;
+    if (Status s = VerifyGroup(group); !s.ok()) {
+      error_ = s;
+      return error_;
+    }
+    verified_.fetch_or(group, std::memory_order_release);
+  }
+  return Status::Ok();
+}
+
+Status SnapshotSource::VerifyDigests(
+    std::initializer_list<SnapshotSection> sections) const {
+  for (const SnapshotSection id : sections) {
+    const SnapshotSectionEntry& entry =
+        header_.sections[static_cast<std::uint32_t>(id) - 1];
+    if (Status s = v2::VerifySectionDigest(base_, entry, id, path_);
+        !s.ok()) {
+      return s;
+    }
+  }
+  return Status::Ok();
+}
+
+Status SnapshotSource::VerifyGroup(std::uint32_t group) const {
+  switch (group) {
+    case kGroupTree:
+      if (Status s = VerifyDigests(
+              {SnapshotSection::kNodeLambda, SnapshotSection::kNodeParent});
+          !s.ok()) {
+        return s;
+      }
+      return v2::ValidateTreeSections(path_, header_, node_lambda_.data(),
+                                      node_parent_.data());
+    case kGroupAssign:
+      if (Status s = VerifyDigests(
+              {SnapshotSection::kLambda, SnapshotSection::kNodeOfClique});
+          !s.ok()) {
+        return s;
+      }
+      return v2::ValidateAssignSections(path_, header_, lambda_.data(),
+                                        node_lambda_.data(),
+                                        node_of_clique_.data());
+    case kGroupIndex:
+      if (Status s =
+              VerifyDigests({SnapshotSection::kDepth, SnapshotSection::kUp});
+          !s.ok()) {
+        return s;
+      }
+      return v2::ValidateIndexSections(path_, header_, node_parent_.data(),
+                                       depth_.data(), up_.data());
+    case kGroupSub:
+      if (Status s = VerifyDigests(
+              {SnapshotSection::kSubBegin, SnapshotSection::kSubEnd});
+          !s.ok()) {
+        return s;
+      }
+      return v2::ValidateSubSections(path_, header_, node_parent_.data(),
+                                     node_of_clique_.data(),
+                                     sub_begin_.data(), sub_end_.data());
+    case kGroupPre:
+      if (Status s = VerifyDigests({SnapshotSection::kCliquesPre}); !s.ok()) {
+        return s;
+      }
+      return v2::ValidateCliquesPre(path_, header_, node_of_clique_.data(),
+                                    sub_begin_.data(), sub_end_.data(),
+                                    cliques_pre_.data());
+    case kGroupRanking:
+      if (Status s = VerifyDigests({SnapshotSection::kDensityRanking});
+          !s.ok()) {
+        return s;
+      }
+      return v2::ValidateRankingSection(path_, header_, node_lambda_.data(),
+                                        ranking_.data());
+    default:
+      return Status::Internal("unknown verification group");
+  }
+}
+
+SnapshotData SnapshotSource::ToSnapshotData() const {
+  SnapshotData snapshot;
+  snapshot.meta = header_.meta;
+  snapshot.peel.lambda.assign(lambda_.begin(), lambda_.end());
+  snapshot.peel.max_lambda = header_.meta.max_lambda;
+  snapshot.has_index = true;
+  snapshot.index_tables.depth.assign(depth_.begin(), depth_.end());
+  snapshot.index_tables.up.assign(up_.begin(), up_.end());
+  snapshot.index_tables.levels = header_.levels;
+  snapshot.hierarchy = NucleusHierarchy::FromParts(
+      std::vector<Lambda>(node_lambda_.begin(), node_lambda_.end()),
+      std::vector<std::int32_t>(node_parent_.begin(), node_parent_.end()),
+      std::vector<std::int32_t>(node_of_clique_.begin(),
+                                node_of_clique_.end()));
+  return snapshot;
+}
+
+std::int64_t SnapshotSource::HeapBytes() const {
+  return static_cast<std::int64_t>(sizeof(SnapshotSource)) +
+         (owned_ != nullptr ? size_ : 0);
+}
 
 StatusOr<std::shared_ptr<const SnapshotSource>> OpenSnapshotSource(
     const std::string& path, SnapshotMemoryMode mode) {
   StatusOr<std::uint32_t> version = ReadSnapshotVersion(path);
   if (!version.ok()) return version.status();
-  if (mode == SnapshotMemoryMode::kMmap && *version == 2) {
-    return MmapSource::Open(path);
-  }
-  // Heap mode, and the documented fallback: a v1 file has no section
-  // directory to map against, so kMmap degrades to the eager heap load.
+  if (*version == 2) return SnapshotSource::OpenV2(path, mode);
   StatusOr<SnapshotData> snapshot = LoadSnapshot(path);
   if (!snapshot.ok()) return snapshot.status();
-  return std::shared_ptr<const SnapshotSource>(
-      std::make_shared<HeapSource>(std::move(*snapshot)));
+  return SnapshotSource::FromSnapshotData(*snapshot);
 }
 
-SourceView MakeSourceView(const SnapshotSource& source) {
-  SourceView view;
-  view.clique_lambda = source.CliqueLambdas();
-  view.node_lambda = source.NodeLambdas();
-  view.node_parent = source.NodeParents();
-  view.node_of_clique = source.NodeOfCliques();
-  view.depth = source.Depths();
-  view.up = source.UpTable();
-  view.levels = source.IndexLevels();
-  view.ranking = source.DensityRanking();
-  return view;
-}
+namespace {
 
-std::int32_t ViewLca(const SourceView& view, std::int32_t a, std::int32_t b) {
-  if (view.depth[a] < view.depth[b]) std::swap(a, b);
-  std::int32_t diff = view.depth[a] - view.depth[b];
+std::int32_t Lca(const SnapshotSource& source, std::int32_t a,
+                 std::int32_t b) {
+  const std::span<const std::int32_t> depth = source.Depths();
+  if (depth[a] < depth[b]) std::swap(a, b);
+  std::int32_t diff = depth[a] - depth[b];
   for (std::int32_t j = 0; diff != 0; ++j, diff >>= 1) {
-    if (diff & 1) a = view.Up(j, a);
+    if (diff & 1) a = source.Up(j, a);
   }
   if (a == b) return a;
-  for (std::int32_t j = view.levels - 1; j >= 0; --j) {
-    if (view.Up(j, a) != view.Up(j, b)) {
-      a = view.Up(j, a);
-      b = view.Up(j, b);
+  for (std::int32_t j = source.IndexLevels() - 1; j >= 0; --j) {
+    if (source.Up(j, a) != source.Up(j, b)) {
+      a = source.Up(j, a);
+      b = source.Up(j, b);
     }
   }
-  return view.Up(0, a);
+  return source.Up(0, a);
 }
 
-std::int32_t ViewNucleusAtLevel(const SourceView& view, CliqueId u,
+}  // namespace
+
+std::int32_t ViewNucleusAtLevel(const SnapshotSource& source, CliqueId u,
                                 Lambda k) {
-  std::int32_t x = view.node_of_clique[u];
-  if (view.node_lambda[x] < k) return kInvalidId;
+  const std::span<const Lambda> node_lambda = source.NodeLambdas();
+  std::int32_t x = source.NodeOfCliques()[u];
+  if (node_lambda[x] < k) return kInvalidId;
   // Lift to the highest ancestor still at lambda >= k: the k-nucleus is
   // the top of the chain segment whose lambda has not dropped below k.
-  for (std::int32_t j = view.levels - 1; j >= 0; --j) {
-    const std::int32_t anc = view.Up(j, x);
-    if (anc != kInvalidId && view.node_lambda[anc] >= k) x = anc;
+  for (std::int32_t j = source.IndexLevels() - 1; j >= 0; --j) {
+    const std::int32_t anc = source.Up(j, x);
+    if (anc != kInvalidId && node_lambda[anc] >= k) x = anc;
   }
   return x;
 }
 
-std::int32_t ViewSmallestCommonNucleus(const SourceView& view, CliqueId u,
-                                       CliqueId v) {
-  const std::int32_t lca =
-      ViewLca(view, view.node_of_clique[u], view.node_of_clique[v]);
-  if (view.node_lambda[lca] < 1) return kInvalidId;
-  return lca;
-}
-
-Lambda ViewCommonNucleusLevel(const SourceView& view, CliqueId u,
-                              CliqueId v) {
-  const std::int32_t lca =
-      ViewLca(view, view.node_of_clique[u], view.node_of_clique[v]);
-  return view.node_lambda[lca] < 1 ? 0 : view.node_lambda[lca];
+std::int32_t ViewSmallestCommonNucleus(const SnapshotSource& source,
+                                       CliqueId u, CliqueId v) {
+  const std::span<const std::int32_t> node_of_clique = source.NodeOfCliques();
+  const std::int32_t lca = Lca(source, node_of_clique[u], node_of_clique[v]);
+  return source.NodeLambdas()[lca] < 1 ? kInvalidId : lca;
 }
 
 }  // namespace nucleus

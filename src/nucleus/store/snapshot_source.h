@@ -1,192 +1,176 @@
 // SnapshotSource: the store→serve boundary.
 //
-// A SnapshotSource is everything the serving tier needs from one loaded
-// snapshot, expressed as flat read-only views: per-clique lambdas, the
-// hierarchy tree arrays, the binary-lifting jump tables, subtree member
-// ranges, and the density ranking. Two implementations:
+// A SnapshotSource is one loaded snapshot in the .nucsnap v2 section
+// layout (snapshot_v2.h): the parsed header plus flat, read-only spans
+// over the sections — per-clique lambdas, the hierarchy tree arrays, the
+// binary-lifting jump tables, the subtree member store and the density
+// ranking. The spans are captured once, when the source is built, so the
+// query hot path reads them directly. The bytes behind them have one of
+// two owners:
 //
-//   * HeapSource — wraps a fully validated SnapshotData (the v1 bulk-read
-//     path, or an eagerly loaded v2 file). Everything is heap-resident;
-//     Ensure() is a no-op.
-//   * MmapSource — a read-only mapping of a .nucsnap v2 file. Spans point
-//     straight into the mapping (zero-copy); per-section digests and
-//     structural invariants are verified lazily, on the first query that
-//     needs them, in dependency groups. Eviction is an munmap, not a
-//     destructor walk, and resident bytes are whatever the kernel chose
-//     to keep paged in — not the snapshot size.
+//   * a read-only MAPPING of a v2 file (SnapshotMemoryMode::kMmap). Zero
+//     copy; per-section digests and structural invariants are verified
+//     lazily, on the first query that needs them, in dependency groups.
+//     Eviction is an munmap, and resident bytes are whatever the kernel
+//     chose to keep paged in — not the snapshot size.
+//   * an OWNED buffer: a v2 file read into memory (kHeap, every group
+//     verified before the open returns), or the in-memory v2 encoding of
+//     a SnapshotData (FromSnapshotData: the live-update and test path,
+//     and how a v1 file is upgraded at open).
 //
-// QueryEngine consumes a source through a SourceView (spans captured once
-// per state) so the per-query hot path does no virtual calls; the only
-// heap-resident hot set for an mmap tenant is the engine's byte-budgeted
-// member cache.
+// The only heap-resident hot set beyond an owned buffer is the engine's
+// byte-budgeted member cache.
 #ifndef NUCLEUS_STORE_SNAPSHOT_SOURCE_H_
 #define NUCLEUS_STORE_SNAPSHOT_SOURCE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "nucleus/core/hierarchy_index.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
+#include "nucleus/util/mutex.h"
 #include "nucleus/util/status.h"
 
 namespace nucleus {
 
-/// How a serving path should hold a snapshot in memory.
+/// How a serving path should hold a snapshot file in memory.
 enum class SnapshotMemoryMode {
-  kHeap,  // bulk read + validate + heap rebuild (v1 semantics)
-  kMmap,  // map the file, verify lazily, serve zero-copy (v2 files only)
+  kHeap,  // read into an owned buffer, every section verified at open
+  kMmap,  // map the file, verify lazily, serve zero-copy
 };
 
-/// Verification demands a query kind can place on a source, OR-able.
-/// HeapSource satisfies all of them by construction; MmapSource maps them
-/// onto per-section digest + structural checks, run once.
+/// Verification demands a query kind can place on a source, OR-able. Each
+/// maps onto the per-section digest + structural checks of the sections
+/// that query reads, run once.
 inline constexpr std::uint32_t kNeedLookup = 1u << 0;   // lambda / assignment
 inline constexpr std::uint32_t kNeedIndex = 1u << 1;    // depth + jump tables
 inline constexpr std::uint32_t kNeedSizes = 1u << 2;    // subtree intervals
 inline constexpr std::uint32_t kNeedMembers = 1u << 3;  // member store
 inline constexpr std::uint32_t kNeedRanking = 1u << 4;  // density ranking
+inline constexpr std::uint32_t kNeedAll =
+    kNeedLookup | kNeedIndex | kNeedSizes | kNeedMembers | kNeedRanking;
 
-class SnapshotSource {
+class SnapshotSource final {
  public:
-  virtual ~SnapshotSource() = default;
+  /// Encodes `snapshot` into an owned v2 image, byte-identical to the file
+  /// SaveSnapshotV2 writes (index tables built when absent, member store
+  /// and ranking derived). The input is a validated load or a fresh build,
+  /// so every section counts as verified.
+  static std::shared_ptr<const SnapshotSource> FromSnapshotData(
+      const SnapshotData& snapshot);
 
-  virtual const SnapshotMeta& meta() const = 0;
-  virtual std::int32_t NumNodes() const = 0;
+  /// Opens a v2 file — no v1 dispatch, see OpenSnapshotSource. kMmap maps
+  /// it and verifies lazily; kHeap reads it into an owned buffer and runs
+  /// Ensure(kNeedAll) before returning, so a corrupt section fails here.
+  static StatusOr<std::shared_ptr<const SnapshotSource>> OpenV2(
+      const std::string& path, SnapshotMemoryMode mode);
+
+  SnapshotSource(const SnapshotSource&) = delete;
+  SnapshotSource& operator=(const SnapshotSource&) = delete;
+  ~SnapshotSource();
+
+  const SnapshotMeta& meta() const { return header_.meta; }
+  std::int32_t NumNodes() const { return header_.num_nodes; }
   /// Nodes with lambda >= 1 (= density ranking length).
-  virtual std::int64_t NumNuclei() const = 0;
+  std::int64_t NumNuclei() const { return header_.num_ranked; }
 
-  // Flat views. Valid for the lifetime of the source; a view whose backing
+  // Section views. Valid for the lifetime of the source; a view whose
   // section has not passed Ensure() may hold corrupt bytes, so callers
   // must Ensure() the matching need bits before trusting the contents.
-  virtual std::span<const Lambda> CliqueLambdas() const = 0;
-  virtual std::span<const Lambda> NodeLambdas() const = 0;
-  virtual std::span<const std::int32_t> NodeParents() const = 0;
-  virtual std::span<const std::int32_t> NodeOfCliques() const = 0;
-  virtual std::span<const std::int32_t> Depths() const = 0;
+  std::span<const Lambda> CliqueLambdas() const { return lambda_; }
+  std::span<const Lambda> NodeLambdas() const { return node_lambda_; }
+  std::span<const std::int32_t> NodeParents() const { return node_parent_; }
+  std::span<const std::int32_t> NodeOfCliques() const {
+    return node_of_clique_;
+  }
+  std::span<const std::int32_t> Depths() const { return depth_; }
   /// Row-major levels x nodes jump table (row j = 2^j-th ancestors).
-  virtual std::span<const std::int32_t> UpTable() const = 0;
-  virtual std::int32_t IndexLevels() const = 0;
+  std::span<const std::int32_t> UpTable() const { return up_; }
+  std::int32_t IndexLevels() const { return header_.levels; }
+  /// The 2^level-th ancestor of `node` (kInvalidId above the root).
+  std::int32_t Up(std::int32_t level, std::int32_t node) const {
+    return up_[static_cast<std::size_t>(level) * node_lambda_.size() +
+               static_cast<std::size_t>(node)];
+  }
   /// lambda >= 1 node ids, ordered (lambda desc, id asc).
-  virtual std::span<const std::int32_t> DensityRanking() const = 0;
+  std::span<const std::int32_t> DensityRanking() const { return ranking_; }
 
-  /// Number of cliques in `node`'s subtree (== MembersOfSubtree size).
-  virtual std::int64_t SubtreeSize(std::int32_t node) const = 0;
-  /// Sorted member clique ids of `node`'s subtree — byte-identical across
-  /// implementations for the same snapshot.
-  virtual std::vector<CliqueId> MaterializeMembers(std::int32_t node)
-      const = 0;
+  /// Number of cliques in `node`'s subtree (== MaterializeMembers size).
+  std::int64_t SubtreeSize(std::int32_t node) const {
+    return sub_end_[node] - sub_begin_[node];
+  }
+  /// Sorted member clique ids of `node`'s subtree.
+  std::vector<CliqueId> MaterializeMembers(std::int32_t node) const;
 
   /// Verifies every section group in `needs` (idempotent, thread-safe; a
   /// failure is sticky and returned to every later caller).
-  virtual Status Ensure(std::uint32_t needs) const = 0;
+  Status Ensure(std::uint32_t needs) const;
 
-  /// Estimated heap bytes owned by this source (arrays, tree, caches it
-  /// carries — NOT the engine's member cache).
-  virtual std::int64_t HeapBytes() const = 0;
-  /// Bytes of file mapped into the address space (0 for heap sources).
-  virtual std::int64_t MappedBytes() const = 0;
-};
+  /// The heap form consumers that edit or chain a snapshot need: hierarchy
+  /// rebuilt, index tables attached. Requires Ensure(kNeedAll) to have
+  /// succeeded.
+  SnapshotData ToSnapshotData() const;
 
-/// Heap-resident source wrapping a validated SnapshotData. Adopts the
-/// snapshot's index tables (builds them if absent) and precomputes the
-/// density ranking.
-class HeapSource final : public SnapshotSource {
- public:
-  explicit HeapSource(SnapshotData snapshot);
-
-  const SnapshotMeta& meta() const override { return snapshot_.meta; }
-  std::int32_t NumNodes() const override {
-    return static_cast<std::int32_t>(node_lambda_.size());
-  }
-  std::int64_t NumNuclei() const override {
-    return static_cast<std::int64_t>(ranking_.size());
-  }
-  std::span<const Lambda> CliqueLambdas() const override {
-    return snapshot_.peel.lambda;
-  }
-  std::span<const Lambda> NodeLambdas() const override {
-    return node_lambda_;
-  }
-  std::span<const std::int32_t> NodeParents() const override {
-    return node_parent_;
-  }
-  std::span<const std::int32_t> NodeOfCliques() const override {
-    return snapshot_.hierarchy.NodeOfCliqueArray();
-  }
-  std::span<const std::int32_t> Depths() const override {
-    return tables_.depth;
-  }
-  std::span<const std::int32_t> UpTable() const override {
-    return tables_.up;
-  }
-  std::int32_t IndexLevels() const override { return tables_.levels; }
-  std::span<const std::int32_t> DensityRanking() const override {
-    return ranking_;
-  }
-  std::int64_t SubtreeSize(std::int32_t node) const override {
-    return snapshot_.hierarchy.node(node).subtree_members;
-  }
-  std::vector<CliqueId> MaterializeMembers(std::int32_t node) const override {
-    return snapshot_.hierarchy.MembersOfSubtree(node);
-  }
-  Status Ensure(std::uint32_t) const override { return Status::Ok(); }
-  std::int64_t HeapBytes() const override { return heap_bytes_; }
-  std::int64_t MappedBytes() const override { return 0; }
-
-  /// The wrapped snapshot (LiveUpdater reads the hierarchy / peel).
-  const SnapshotData& snapshot() const { return snapshot_; }
+  /// Heap bytes this source holds: the owned image (0 for a mapping) plus
+  /// its own bookkeeping — NOT the engine's member cache.
+  std::int64_t HeapBytes() const;
+  /// Bytes of file mapped into the address space (0 for owned sources).
+  std::int64_t MappedBytes() const { return mapping_ != nullptr ? size_ : 0; }
 
  private:
-  SnapshotData snapshot_;
-  std::vector<Lambda> node_lambda_;
-  std::vector<std::int32_t> node_parent_;
-  HierarchyIndexTables tables_;
-  std::vector<std::int32_t> ranking_;
-  std::int64_t heap_bytes_ = 0;
+  SnapshotSource() = default;
+
+  /// Parses the header of the `size_` bytes at `base_` and captures the
+  /// section spans.
+  Status Adopt();
+  template <typename T>
+  std::span<const T> Section(SnapshotSection id) const;
+  Status VerifyDigests(std::initializer_list<SnapshotSection> sections) const;
+  Status VerifyGroup(std::uint32_t group) const;
+
+  // Exactly one of mapping_ / owned_ holds the bytes at base_.
+  void* mapping_ = nullptr;
+  std::unique_ptr<std::uint64_t[]> owned_;
+  const unsigned char* base_ = nullptr;
+  std::int64_t size_ = 0;
+  std::string path_;
+  store_v2_internal::V2Header header_;
+
+  std::span<const Lambda> lambda_;
+  std::span<const Lambda> node_lambda_;
+  std::span<const std::int32_t> node_parent_;
+  std::span<const std::int32_t> node_of_clique_;
+  std::span<const std::int32_t> depth_;
+  std::span<const std::int32_t> up_;
+  std::span<const std::int64_t> sub_begin_;
+  std::span<const std::int64_t> sub_end_;
+  std::span<const std::int32_t> cliques_pre_;
+  std::span<const std::int32_t> ranking_;
+
+  mutable std::atomic<std::uint32_t> verified_{0};
+  mutable Mutex verify_mutex_;
+  // Sticky first verification failure.
+  mutable Status error_ GUARDED_BY(verify_mutex_);
 };
 
-/// Estimated heap footprint of a fully materialized SnapshotData (peel
-/// array, tree nodes, children/member vectors, index tables). The registry
-/// charges this against its byte budget for heap tenants.
-std::int64_t EstimateSnapshotHeapBytes(const SnapshotData& snapshot);
-
-/// Opens `path` as a SnapshotSource. kMmap maps v2 files zero-copy;
-/// kHeap — and, as a documented fallback, kMmap over a v1 file — loads
-/// eagerly through the version-dispatching LoadSnapshot into a HeapSource.
+/// Opens any snapshot file. v2 files go through SnapshotSource::OpenV2 in
+/// `mode`. A v1 file has no section layout to map, so in either mode it is
+/// loaded eagerly and upgraded in memory (FromSnapshotData).
 StatusOr<std::shared_ptr<const SnapshotSource>> OpenSnapshotSource(
     const std::string& path, SnapshotMemoryMode mode);
 
-/// Spans of one source captured once, so query hot paths (binary lifting,
-/// lambda lookups) run with zero virtual dispatch. Plain value; copy per
-/// engine state.
-struct SourceView {
-  std::span<const Lambda> clique_lambda;
-  std::span<const Lambda> node_lambda;
-  std::span<const std::int32_t> node_parent;
-  std::span<const std::int32_t> node_of_clique;
-  std::span<const std::int32_t> depth;
-  std::span<const std::int32_t> up;
-  std::int32_t levels = 0;
-  std::span<const std::int32_t> ranking;
-
-  std::int32_t Up(std::int32_t level, std::int32_t node) const {
-    return up[static_cast<std::size_t>(level) * node_lambda.size() + node];
-  }
-};
-
-SourceView MakeSourceView(const SnapshotSource& source);
-
-// Query primitives over a SourceView — the span mirror of
-// HierarchyIndex::{NucleusAtLevel, SmallestCommonNucleus,
-// CommonNucleusLevel}, answer-identical by construction.
-std::int32_t ViewLca(const SourceView& view, std::int32_t a, std::int32_t b);
-std::int32_t ViewNucleusAtLevel(const SourceView& view, CliqueId u, Lambda k);
-std::int32_t ViewSmallestCommonNucleus(const SourceView& view, CliqueId u,
-                                       CliqueId v);
-Lambda ViewCommonNucleusLevel(const SourceView& view, CliqueId u, CliqueId v);
+// Query primitives over a source's spans, answer-identical to
+// HierarchyIndex::{NucleusAtLevel, SmallestCommonNucleus} (which the
+// query_engine tests use as the reference).
+std::int32_t ViewNucleusAtLevel(const SnapshotSource& source, CliqueId u,
+                                Lambda k);
+std::int32_t ViewSmallestCommonNucleus(const SnapshotSource& source,
+                                       CliqueId u, CliqueId v);
 
 }  // namespace nucleus
 

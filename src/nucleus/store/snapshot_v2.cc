@@ -4,11 +4,13 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "nucleus/core/hierarchy_index.h"
 #include "nucleus/store/record_io.h"
+#include "nucleus/store/snapshot_source.h"
 #include "nucleus/util/file_util.h"
 
 namespace nucleus {
@@ -440,56 +442,42 @@ Status ValidateRankingSection(const std::string& path, const V2Header& h,
   return Status::Ok();
 }
 
-}  // namespace store_v2_internal
 
 namespace {
-
-using store_v2_internal::V2Header;
-
-/// Every serialized array of one v2 snapshot, materialized in write order.
-struct V2Payload {
-  std::vector<Lambda> node_lambda;
-  std::vector<std::int32_t> node_parent;
-  HierarchyIndexTables tables;
-  std::vector<std::int64_t> sub_begin;
-  std::vector<std::int64_t> sub_end;
-  std::vector<std::int32_t> cliques_pre;
-  std::vector<std::int32_t> ranking;
-};
 
 /// Derives the member store: DFS preorder from the root with children in
 /// ascending id order, each node's direct members (already sorted) emitted
 /// at entry. Every subtree then occupies one contiguous [begin, end) run
-/// of `cliques_pre`, which is the property the mmap source's
+/// of `cliques_pre`, which is the property SnapshotSource's
 /// MaterializeMembers and SubtreeSize lean on.
-void BuildMemberStore(const NucleusHierarchy& h, V2Payload* payload) {
+void BuildMemberStore(const NucleusHierarchy& h, V2Image* image) {
   const std::int32_t n = static_cast<std::int32_t>(h.NumNodes());
-  payload->sub_begin.assign(static_cast<std::size_t>(n), 0);
-  payload->sub_end.assign(static_cast<std::size_t>(n), 0);
-  payload->cliques_pre.reserve(static_cast<std::size_t>(h.NumCliques()));
+  image->sub_begin.assign(static_cast<std::size_t>(n), 0);
+  image->sub_end.assign(static_cast<std::size_t>(n), 0);
+  image->cliques_pre.reserve(static_cast<std::size_t>(h.NumCliques()));
   // (node, next child index) stack; a node's interval closes when its last
   // child's subtree has been emitted.
   std::vector<std::pair<std::int32_t, std::size_t>> stack;
   stack.emplace_back(h.root(), 0);
-  payload->sub_begin[h.root()] =
-      static_cast<std::int64_t>(payload->cliques_pre.size());
+  image->sub_begin[h.root()] =
+      static_cast<std::int64_t>(image->cliques_pre.size());
   for (const CliqueId c : h.node(h.root()).members) {
-    payload->cliques_pre.push_back(c);
+    image->cliques_pre.push_back(c);
   }
   while (!stack.empty()) {
     auto& [node, next_child] = stack.back();
     const auto& children = h.node(node).children;
     if (next_child == children.size()) {
-      payload->sub_end[node] =
-          static_cast<std::int64_t>(payload->cliques_pre.size());
+      image->sub_end[node] =
+          static_cast<std::int64_t>(image->cliques_pre.size());
       stack.pop_back();
       continue;
     }
     const std::int32_t child = children[next_child++];
-    payload->sub_begin[child] =
-        static_cast<std::int64_t>(payload->cliques_pre.size());
+    image->sub_begin[child] =
+        static_cast<std::int64_t>(image->cliques_pre.size());
     for (const CliqueId c : h.node(child).members) {
-      payload->cliques_pre.push_back(c);
+      image->cliques_pre.push_back(c);
     }
     stack.emplace_back(child, 0);
   }
@@ -506,114 +494,9 @@ void AppendValue(std::vector<unsigned char>* buffer, T value) {
   AppendLe(buffer, &value, sizeof(T));
 }
 
-template <typename T>
-std::uint64_t ArrayDigest(const std::vector<T>& values) {
-  return store_v2_internal::SectionDigest(values.data(),
-                                          values.size() * sizeof(T));
-}
-
-struct SectionPlan {
-  SnapshotSection id;
-  std::int64_t offset = 0;
-  std::int64_t length = 0;
-  std::uint64_t digest = 0;
-  const void* data = nullptr;
-};
-
-Status WriteSnapshotV2To(const SnapshotData& snapshot,
-                         const V2Payload& payload, std::FILE* f,
-                         const std::string& path) {
-  const NucleusHierarchy& h = snapshot.hierarchy;
-  const std::int32_t num_nodes = static_cast<std::int32_t>(h.NumNodes());
-  const std::int64_t num_cliques = h.NumCliques();
-  const std::int32_t levels = payload.tables.levels;
-  const std::int32_t num_ranked =
-      static_cast<std::int32_t>(payload.ranking.size());
-
-  SectionPlan plan[kSnapshotV2SectionCount] = {
-      {SnapshotSection::kLambda, 0, num_cliques * 4,
-       ArrayDigest(snapshot.peel.lambda), snapshot.peel.lambda.data()},
-      {SnapshotSection::kNodeLambda, 0, num_nodes * 4,
-       ArrayDigest(payload.node_lambda), payload.node_lambda.data()},
-      {SnapshotSection::kNodeParent, 0, num_nodes * 4,
-       ArrayDigest(payload.node_parent), payload.node_parent.data()},
-      {SnapshotSection::kNodeOfClique, 0, num_cliques * 4,
-       ArrayDigest(h.NodeOfCliqueArray()), h.NodeOfCliqueArray().data()},
-      {SnapshotSection::kDepth, 0, num_nodes * 4,
-       ArrayDigest(payload.tables.depth), payload.tables.depth.data()},
-      {SnapshotSection::kUp, 0,
-       static_cast<std::int64_t>(levels) * num_nodes * 4,
-       ArrayDigest(payload.tables.up), payload.tables.up.data()},
-      {SnapshotSection::kSubBegin, 0, num_nodes * 8,
-       ArrayDigest(payload.sub_begin), payload.sub_begin.data()},
-      {SnapshotSection::kSubEnd, 0, num_nodes * 8,
-       ArrayDigest(payload.sub_end), payload.sub_end.data()},
-      {SnapshotSection::kCliquesPre, 0, num_cliques * 4,
-       ArrayDigest(payload.cliques_pre), payload.cliques_pre.data()},
-      {SnapshotSection::kDensityRanking, 0, num_ranked * 4,
-       ArrayDigest(payload.ranking), payload.ranking.data()},
-  };
-  std::int64_t cursor = kSnapshotV2HeaderBytes;
-  for (SectionPlan& section : plan) {
-    section.offset = cursor;
-    cursor = (cursor + section.length + 7) & ~std::int64_t{7};
-  }
-
-  std::vector<unsigned char> header;
-  header.reserve(static_cast<std::size_t>(kSnapshotV2HeaderBytes));
-  AppendLe(&header, kSnapshotV2Magic, sizeof(kSnapshotV2Magic));
-  AppendValue(&header, kSnapshotV2Version);
-  AppendValue(&header, std::uint32_t{0});  // flags
-  AppendValue(&header, static_cast<std::int32_t>(snapshot.meta.family));
-  AppendValue(&header, static_cast<std::int32_t>(snapshot.meta.algorithm));
-  AppendValue(&header, snapshot.meta.num_vertices);
-  AppendValue(&header, snapshot.meta.num_edges);
-  AppendValue(&header, snapshot.meta.graph_fingerprint);
-  AppendValue(&header, num_cliques);
-  AppendValue(&header, snapshot.meta.max_lambda);
-  AppendValue(&header, num_nodes);
-  AppendValue(&header, levels);
-  AppendValue(&header, num_ranked);
-  AppendValue(&header, kSnapshotV2SectionCount);
-  for (const SectionPlan& section : plan) {
-    AppendValue(&header, static_cast<std::uint32_t>(section.id));
-    AppendValue(&header, std::uint32_t{0});  // reserved
-    AppendValue(&header, section.offset);
-    AppendValue(&header, section.length);
-    AppendValue(&header, section.digest);
-  }
-  const std::uint64_t header_digest =
-      store_v2_internal::SectionDigest(header.data(), header.size());
-  AppendValue(&header, header_digest);
-  NUCLEUS_CHECK(static_cast<std::int64_t>(header.size()) ==
-                kSnapshotV2HeaderBytes);
-
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
-    return Status::Internal("short write to " + path);
-  }
-  const unsigned char padding[8] = {0};
-  std::int64_t written = kSnapshotV2HeaderBytes;
-  for (const SectionPlan& section : plan) {
-    if (section.length > 0 &&
-        std::fwrite(section.data, 1,
-                    static_cast<std::size_t>(section.length),
-                    f) != static_cast<std::size_t>(section.length)) {
-      return Status::Internal("short write to " + path);
-    }
-    written += section.length;
-    const std::int64_t pad = ((written + 7) & ~std::int64_t{7}) - written;
-    if (pad > 0 && std::fwrite(padding, 1, static_cast<std::size_t>(pad),
-                               f) != static_cast<std::size_t>(pad)) {
-      return Status::Internal("short write to " + path);
-    }
-    written += pad;
-  }
-  return store_internal::FlushToDevice(f, path);
-}
-
 }  // namespace
 
-Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
+void PlanV2Image(const SnapshotData& snapshot, V2Image* image) {
   const NucleusHierarchy& h = snapshot.hierarchy;
   NUCLEUS_CHECK_MSG(h.NumNodes() >= 1,
                     "snapshot requires a built hierarchy (build_tree)");
@@ -621,23 +504,23 @@ Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
                 h.NumCliques());
   const std::int32_t num_nodes = static_cast<std::int32_t>(h.NumNodes());
 
-  V2Payload payload;
-  payload.node_lambda.resize(static_cast<std::size_t>(num_nodes));
-  payload.node_parent.resize(static_cast<std::size_t>(num_nodes));
+  image->node_lambda.resize(static_cast<std::size_t>(num_nodes));
+  image->node_parent.resize(static_cast<std::size_t>(num_nodes));
   for (std::int32_t i = 0; i < num_nodes; ++i) {
-    payload.node_lambda[i] = h.node(i).lambda;
-    payload.node_parent[i] = h.node(i).parent;
+    image->node_lambda[i] = h.node(i).lambda;
+    image->node_parent[i] = h.node(i).parent;
   }
   // v2 always ships the jump tables: the whole point of the layout is that
   // a load never rebuilds anything.
-  payload.tables = snapshot.has_index ? snapshot.index_tables
-                                      : HierarchyIndex(h).Tables();
-  BuildMemberStore(h, &payload);
-  payload.ranking.reserve(static_cast<std::size_t>(h.NumNuclei()));
+  if (!snapshot.has_index) image->built_tables = HierarchyIndex(h).Tables();
+  const HierarchyIndexTables& tables =
+      snapshot.has_index ? snapshot.index_tables : image->built_tables;
+  BuildMemberStore(h, image);
+  image->ranking.reserve(static_cast<std::size_t>(h.NumNuclei()));
   for (std::int32_t i = 0; i < num_nodes; ++i) {
-    if (h.node(i).lambda >= 1) payload.ranking.push_back(i);
+    if (h.node(i).lambda >= 1) image->ranking.push_back(i);
   }
-  std::sort(payload.ranking.begin(), payload.ranking.end(),
+  std::sort(image->ranking.begin(), image->ranking.end(),
             [&h](std::int32_t a, std::int32_t b) {
               if (h.node(a).lambda != h.node(b).lambda) {
                 return h.node(a).lambda > h.node(b).lambda;
@@ -645,117 +528,103 @@ Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
               return a < b;
             });
 
+  V2Header header;
+  header.meta = snapshot.meta;
+  header.meta.num_cliques = h.NumCliques();
+  header.num_nodes = num_nodes;
+  header.levels = tables.levels;
+  header.num_ranked = static_cast<std::int32_t>(image->ranking.size());
+  const void* section_data[kSnapshotV2SectionCount] = {
+      snapshot.peel.lambda.data(),  image->node_lambda.data(),
+      image->node_parent.data(),    h.NodeOfCliqueArray().data(),
+      tables.depth.data(),          tables.up.data(),
+      image->sub_begin.data(),      image->sub_end.data(),
+      image->cliques_pre.data(),    image->ranking.data()};
+  std::int64_t cursor = kSnapshotV2HeaderBytes;
+  for (std::uint32_t i = 0; i < kSnapshotV2SectionCount; ++i) {
+    V2Image::Section& section = image->sections[i];
+    section.data = section_data[i];
+    section.offset = cursor;
+    section.length =
+        ExpectedSectionLength(static_cast<SnapshotSection>(i + 1), header);
+    cursor = AlignUp8(cursor + section.length);
+  }
+  image->size = cursor;
+
+  std::vector<unsigned char>& out = image->header;
+  out.reserve(static_cast<std::size_t>(kSnapshotV2HeaderBytes));
+  AppendLe(&out, kSnapshotV2Magic, sizeof(kSnapshotV2Magic));
+  AppendValue(&out, kSnapshotV2Version);
+  AppendValue(&out, std::uint32_t{0});  // flags
+  AppendValue(&out, static_cast<std::int32_t>(header.meta.family));
+  AppendValue(&out, static_cast<std::int32_t>(header.meta.algorithm));
+  AppendValue(&out, header.meta.num_vertices);
+  AppendValue(&out, header.meta.num_edges);
+  AppendValue(&out, header.meta.graph_fingerprint);
+  AppendValue(&out, header.meta.num_cliques);
+  AppendValue(&out, header.meta.max_lambda);
+  AppendValue(&out, header.num_nodes);
+  AppendValue(&out, header.levels);
+  AppendValue(&out, header.num_ranked);
+  AppendValue(&out, kSnapshotV2SectionCount);
+  for (std::uint32_t i = 0; i < kSnapshotV2SectionCount; ++i) {
+    const V2Image::Section& section = image->sections[i];
+    AppendValue(&out, i + 1);               // section id
+    AppendValue(&out, std::uint32_t{0});  // reserved
+    AppendValue(&out, section.offset);
+    AppendValue(&out, section.length);
+    AppendValue(&out, SectionDigest(section.data,
+                                    static_cast<std::size_t>(section.length)));
+  }
+  AppendValue(&out, SectionDigest(out.data(), out.size()));
+  NUCLEUS_CHECK(static_cast<std::int64_t>(out.size()) ==
+                kSnapshotV2HeaderBytes);
+}
+
+}  // namespace store_v2_internal
+
+namespace {
+
+Status WriteV2Image(const store_v2_internal::V2Image& image, std::FILE* f,
+                    const std::string& path) {
+  if (std::fwrite(image.header.data(), 1, image.header.size(), f) !=
+      image.header.size()) {
+    return Status::Internal("short write to " + path);
+  }
+  const unsigned char padding[8] = {0};
+  for (const auto& section : image.sections) {
+    const auto length = static_cast<std::size_t>(section.length);
+    if (length > 0 && std::fwrite(section.data, 1, length, f) != length) {
+      return Status::Internal("short write to " + path);
+    }
+    const auto pad = static_cast<std::size_t>((8 - section.length % 8) % 8);
+    if (pad > 0 && std::fwrite(padding, 1, pad, f) != pad) {
+      return Status::Internal("short write to " + path);
+    }
+  }
+  return store_internal::FlushToDevice(f, path);
+}
+
+}  // namespace
+
+Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path) {
+  // Streams from the plan: no whole-file buffer, so a save costs the
+  // derived sections on top of the snapshot, not another copy of it.
+  store_v2_internal::V2Image image;
+  store_v2_internal::PlanV2Image(snapshot, &image);
   return store_internal::WriteFileAtomically(
-      path, [&](std::FILE* f, const std::string& temp_path) {
-        return WriteSnapshotV2To(snapshot, payload, f, temp_path);
+      path, [&image](std::FILE* f, const std::string& temp_path) {
+        return WriteV2Image(image, f, temp_path);
       });
 }
 
 StatusOr<SnapshotData> LoadSnapshotV2(const std::string& path) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return Status::NotFound("cannot open " + path);
-  }
-  StatusOr<std::int64_t> size = FileSize(file.get(), path);
-  if (!size.ok()) return size.status();
-  std::vector<unsigned char> bytes;
-  if (*size < kSnapshotV2HeaderBytes) {
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-  bytes.resize(static_cast<std::size_t>(*size));
-  if (std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
-    return Status::OutOfRange(path + ": header: truncated snapshot");
-  }
-
-  namespace v2 = store_v2_internal;
-  V2Header header;
-  if (Status s = v2::ParseV2Header(bytes.data(), *size, path, &header);
-      !s.ok()) {
-    return s;
-  }
-  // Eager load: every section is digest-checked and structurally validated
-  // up front, mirroring the v1 reader's guarantees (this is the heap path;
-  // laziness lives in MmapSource).
-  for (std::uint32_t i = 0; i < kSnapshotV2SectionCount; ++i) {
-    if (Status s = v2::VerifySectionDigest(
-            bytes.data(), header.sections[i],
-            static_cast<SnapshotSection>(i + 1), path);
-        !s.ok()) {
-      return s;
-    }
-  }
-  const auto section = [&](SnapshotSection id) {
-    return bytes.data() +
-           header.sections[static_cast<std::uint32_t>(id) - 1].offset;
-  };
-  const auto* lambda =
-      reinterpret_cast<const Lambda*>(section(SnapshotSection::kLambda));
-  const auto* node_lambda = reinterpret_cast<const Lambda*>(
-      section(SnapshotSection::kNodeLambda));
-  const auto* node_parent = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kNodeParent));
-  const auto* node_of_clique = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kNodeOfClique));
-  const auto* depth =
-      reinterpret_cast<const std::int32_t*>(section(SnapshotSection::kDepth));
-  const auto* up =
-      reinterpret_cast<const std::int32_t*>(section(SnapshotSection::kUp));
-  const auto* sub_begin = reinterpret_cast<const std::int64_t*>(
-      section(SnapshotSection::kSubBegin));
-  const auto* sub_end = reinterpret_cast<const std::int64_t*>(
-      section(SnapshotSection::kSubEnd));
-  const auto* cliques_pre = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kCliquesPre));
-  const auto* ranking = reinterpret_cast<const std::int32_t*>(
-      section(SnapshotSection::kDensityRanking));
-
-  if (Status s = v2::ValidateTreeSections(path, header, node_lambda,
-                                          node_parent);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateAssignSections(path, header, lambda,
-                                            node_lambda, node_of_clique);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateIndexSections(path, header, node_parent, depth,
-                                           up);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateSubSections(path, header, node_parent,
-                                         node_of_clique, sub_begin, sub_end);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateCliquesPre(path, header, node_of_clique,
-                                        sub_begin, sub_end, cliques_pre);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = v2::ValidateRankingSection(path, header, node_lambda,
-                                            ranking);
-      !s.ok()) {
-    return s;
-  }
-
-  SnapshotData snapshot;
-  snapshot.meta = header.meta;
-  snapshot.peel.lambda.assign(lambda, lambda + header.meta.num_cliques);
-  snapshot.peel.max_lambda = header.meta.max_lambda;
-  snapshot.has_index = true;
-  snapshot.index_tables.depth.assign(depth, depth + header.num_nodes);
-  snapshot.index_tables.up.assign(
-      up, up + static_cast<std::int64_t>(header.levels) * header.num_nodes);
-  snapshot.index_tables.levels = header.levels;
-  snapshot.hierarchy = NucleusHierarchy::FromParts(
-      std::vector<Lambda>(node_lambda, node_lambda + header.num_nodes),
-      std::vector<std::int32_t>(node_parent,
-                                node_parent + header.num_nodes),
-      std::vector<std::int32_t>(node_of_clique,
-                                node_of_clique + header.meta.num_cliques));
-  return snapshot;
+  // Owned mode verifies every section before the open returns, so the
+  // arrays handed to FromParts are already structurally sound.
+  StatusOr<std::shared_ptr<const SnapshotSource>> source =
+      SnapshotSource::OpenV2(path, SnapshotMemoryMode::kHeap);
+  if (!source.ok()) return source.status();
+  return (*source)->ToSnapshotData();
 }
 
 StatusOr<std::uint32_t> ReadSnapshotVersion(const std::string& path) {

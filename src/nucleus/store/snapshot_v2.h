@@ -1,9 +1,9 @@
-// .nucsnap format v2: the mmap-friendly, sectioned snapshot layout.
+// .nucsnap format v2: THE snapshot format, on disk and in memory.
 //
-// v1 (snapshot.h) is a streaming format: one whole-file checksum, arrays
-// packed back to back, every load a bulk read + full validation + heap
-// rebuild. That couples cold-start cost (and resident bytes) to snapshot
-// size — a snapshot larger than RAM cannot serve at all. v2 decouples them:
+// Every snapshot this repo writes is v2, and every served snapshot is held
+// in the v2 section layout (store/snapshot_source.h), whether mapped from
+// a file or encoded into an owned buffer. The older v1 layout (snapshot.h)
+// is only read, to upgrade it. What the layout buys:
 //
 //   * fixed-width little-endian sections at 8-byte-aligned offsets, so a
 //     mapping of the file IS the serving representation (zero-copy spans,
@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nucleus/store/snapshot.h"
 #include "nucleus/util/status.h"
@@ -80,25 +81,23 @@ inline constexpr std::int64_t kSnapshotV2HeaderBytes =
 
 /// One parsed directory entry: where a section lives and what its bytes
 /// must hash to. Offsets/lengths are validated against the file size at
-/// open; the digest is checked lazily on first access (MmapSource) or
-/// eagerly (LoadSnapshotV2).
+/// open; the digest is checked on first access (SnapshotSource::Ensure).
 struct SnapshotSectionEntry {
   std::int64_t offset = 0;
   std::int64_t length = 0;
   std::uint64_t digest = 0;
 };
 
-/// Writes `snapshot` to `path` in the v2 layout (atomically, like
-/// SaveSnapshot). Builds the index tables when the snapshot lacks them and
-/// derives the member store + density ranking from the hierarchy; the
-/// input is not required to carry has_index.
+/// Writes `snapshot` to `path` in the v2 layout, atomically (temp file +
+/// fsync + rename), streaming each section straight from memory. Builds
+/// the index tables when the snapshot lacks them and derives the member
+/// store + density ranking from the hierarchy; the input is not required
+/// to carry has_index.
 Status SaveSnapshotV2(const SnapshotData& snapshot, const std::string& path);
 
-/// Loads a v2 file EAGERLY into the same SnapshotData a v1 load produces
-/// (hierarchy rebuilt, index tables attached): the heap path for v2 files,
-/// and the interoperability guarantee that chains, updates and tooling
-/// work on either version. Every section is digest-checked and
-/// structurally validated.
+/// Loads a v2 file EAGERLY into a heap SnapshotData (hierarchy rebuilt,
+/// index tables attached) — what chains, live updates and tooling consume.
+/// Every section is digest-checked and structurally validated first.
 StatusOr<SnapshotData> LoadSnapshotV2(const std::string& path);
 
 /// Peeks at the magic/version prefix: 1 for v1 files, 2 for v2 files, a
@@ -111,8 +110,8 @@ StatusOr<std::uint32_t> ReadSnapshotVersion(const std::string& path);
 Status UpgradeSnapshot(const std::string& in_path,
                        const std::string& out_path);
 
-// Shared between the eager reader (LoadSnapshotV2) and the lazy mmap view
-// (store/snapshot_source.cc). Not part of the public store API.
+// Shared by the writer, SnapshotSource (store/snapshot_source.cc) and the
+// v1 reader (store/snapshot.cc). Not part of the public store API.
 namespace store_v2_internal {
 
 /// Parsed preamble + directory of one v2 file.
@@ -172,6 +171,34 @@ Status ValidateCliquesPre(const std::string& path, const V2Header& h,
 Status ValidateRankingSection(const std::string& path, const V2Header& h,
                               const Lambda* node_lambda,
                               const std::int32_t* ranking);
+
+/// One snapshot's v2 encoding, planned but not materialized: the header
+/// bytes and, per section, the bytes to emit at which offset. Sections
+/// point into the derived arrays below or straight into the SnapshotData
+/// the plan was built from, which must outlive it. SaveSnapshotV2 streams
+/// a plan to disk; SnapshotSource::FromSnapshotData copies it into memory.
+struct V2Image {
+  struct Section {
+    const void* data = nullptr;
+    std::int64_t offset = 0;
+    std::int64_t length = 0;
+  };
+  std::vector<unsigned char> header;  // preamble + directory + digest
+  Section sections[kSnapshotV2SectionCount];
+  std::int64_t size = 0;  // whole file: header + 8-byte-padded sections
+
+  std::vector<Lambda> node_lambda;
+  std::vector<std::int32_t> node_parent;
+  HierarchyIndexTables built_tables;  // only when the snapshot has none
+  std::vector<std::int64_t> sub_begin;
+  std::vector<std::int64_t> sub_end;
+  std::vector<std::int32_t> cliques_pre;
+  std::vector<std::int32_t> ranking;
+};
+
+/// Derives every v2 section of `snapshot` (which must carry a built
+/// hierarchy) and lays them out. `image` must be freshly constructed.
+void PlanV2Image(const SnapshotData& snapshot, V2Image* image);
 
 }  // namespace store_v2_internal
 

@@ -12,6 +12,7 @@
 
 #include "nucleus/graph/edge_list_io.h"
 #include "nucleus/graph/generators.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -399,27 +400,26 @@ std::string ReadWholeFile(const std::string& path) {
 }
 
 TEST(Cli, SnapshotFormatV2MmapQueryAndServeMatchHeap) {
+  // decompose writes one format (v2); both memory modes serve it.
   const std::string edges_path = WriteTestGraph();
-  const std::string v1_snap = TempPath("cli_fmt_v1.nucsnap");
-  const std::string v2_snap = TempPath("cli_fmt_v2.nucsnap");
+  const std::string snap = TempPath("cli_fmt.nucsnap");
 
   CliResult r = RunArgs({"decompose", "--input", edges_path, "--family",
-                         "truss", "--out-snapshot", v1_snap});
+                         "truss", "--out-snapshot", snap});
   EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"decompose", "--input", edges_path, "--family", "truss",
-               "--snapshot-format", "v2", "--out-snapshot", v2_snap});
-  EXPECT_EQ(r.code, 0) << r.err;
+  auto version = ReadSnapshotVersion(snap);
+  ASSERT_TRUE(version.ok());
+  EXPECT_EQ(*version, 2u);
 
-  // Same graph, same family: the zero-copy mmap path must answer
-  // byte-identically to the v1 heap path.
+  // Owned (heap) and mapped (mmap) holdings of the same file answer
+  // byte-identically.
   const std::string heap_json = TempPath("cli_fmt_heap.json");
   const std::string mmap_json = TempPath("cli_fmt_mmap.json");
-  r = RunArgs({"query", "--snapshot", v1_snap, "--u", "0", "--v", "1",
-               "--top", "3", "--out-json", heap_json});
+  r = RunArgs({"query", "--snapshot", snap, "--u", "0", "--v", "1", "--top",
+               "3", "--out-json", heap_json});
   EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"query", "--snapshot", v2_snap, "--memory-mode", "mmap",
-               "--u", "0", "--v", "1", "--top", "3", "--out-json",
-               mmap_json});
+  r = RunArgs({"query", "--snapshot", snap, "--memory-mode", "mmap", "--u",
+               "0", "--v", "1", "--top", "3", "--out-json", mmap_json});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(ReadWholeFile(heap_json), ReadWholeFile(mmap_json));
 
@@ -431,56 +431,65 @@ TEST(Cli, SnapshotFormatV2MmapQueryAndServeMatchHeap) {
   }
   const std::string heap_answers = TempPath("cli_fmt_heap_a.txt");
   const std::string mmap_answers = TempPath("cli_fmt_mmap_a.txt");
-  r = RunArgs({"serve", "--snapshot", v1_snap, "--queries", queries,
-               "--out", heap_answers});
+  r = RunArgs({"serve", "--snapshot", snap, "--queries", queries, "--out",
+               heap_answers});
   EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"serve", "--snapshot", v2_snap, "--memory-mode", "mmap",
+  r = RunArgs({"serve", "--snapshot", snap, "--memory-mode", "mmap",
                "--queries", queries, "--out", mmap_answers, "--threads",
                "2"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(ReadWholeFile(heap_answers), ReadWholeFile(mmap_answers));
 
-  // Mode and format values are validated, and mmap refuses the surfaces
-  // that must materialize heap state.
-  EXPECT_EQ(RunArgs({"query", "--snapshot", v2_snap, "--memory-mode",
-                     "paged", "--u", "0"})
-                .code,
-            2);
-  EXPECT_EQ(RunArgs({"decompose", "--input", edges_path,
-                     "--snapshot-format", "v3", "--out-snapshot", v2_snap})
+  // Mode values are validated, mmap refuses the surfaces that must
+  // materialize heap state, and the retired format flags are unknown.
+  EXPECT_EQ(RunArgs({"query", "--snapshot", snap, "--memory-mode", "paged",
+                     "--u", "0"})
                 .code,
             2);
   r = RunArgs({"query", "--input", edges_path, "--memory-mode", "mmap",
                "--u", "0"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("plain --snapshot only"), std::string::npos);
+  for (const char* flag : {"--snapshot-format", "--snapshot-index"}) {
+    r = RunArgs({"decompose", "--input", edges_path, flag, "1",
+                 "--out-snapshot", snap});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find(std::string("unknown flag '") + flag + "'"),
+              std::string::npos)
+        << r.err;
+    r = RunArgs({"update", "--snapshot", snap, "--input", edges_path,
+                 "--edits", queries, flag, "1"});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find(std::string("unknown flag '") + flag + "'"),
+              std::string::npos)
+        << r.err;
+  }
 
-  for (const auto& p : {edges_path, v1_snap, v2_snap, heap_json, mmap_json,
-                        queries, heap_answers, mmap_answers}) {
+  for (const auto& p : {edges_path, snap, heap_json, mmap_json, queries,
+                        heap_answers, mmap_answers}) {
     std::remove(p.c_str());
   }
 }
 
 TEST(Cli, SnapshotUpgradeConvertsV1Losslessly) {
-  const std::string edges_path = WriteTestGraph();
-  const std::string v1_snap = TempPath("cli_up_v1.nucsnap");
+  // A v1 file (checked-in fixture: nothing writes v1 any more) upgrades to
+  // v2 and answers byte-identically through the mmap path.
+  const std::string v1_snap =
+      testing_util::CopyV1Fixture("figure2_core_index", "cli_up_v1.nucsnap");
   const std::string v2_snap = TempPath("cli_up_v2.nucsnap");
 
-  CliResult r = RunArgs({"decompose", "--input", edges_path, "--family",
-                         "core", "--out-snapshot", v1_snap});
-  EXPECT_EQ(r.code, 0) << r.err;
-  r = RunArgs({"snapshot-upgrade", "--snapshot", v1_snap, "--out", v2_snap});
+  CliResult r =
+      RunArgs({"snapshot-upgrade", "--snapshot", v1_snap, "--out", v2_snap});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("(v1) -> " + v2_snap + " (v2)"), std::string::npos);
 
-  // The upgraded file answers byte-identically through the mmap path.
   const std::string v1_json = TempPath("cli_up_v1.json");
   const std::string v2_json = TempPath("cli_up_v2.json");
-  r = RunArgs({"query", "--snapshot", v1_snap, "--u", "0", "--v", "1",
-               "--out-json", v1_json});
+  r = RunArgs({"query", "--snapshot", v1_snap, "--u", "0", "--v", "9",
+               "--top", "3", "--out-json", v1_json});
   EXPECT_EQ(r.code, 0) << r.err;
   r = RunArgs({"query", "--snapshot", v2_snap, "--memory-mode", "mmap",
-               "--u", "0", "--v", "1", "--out-json", v2_json});
+               "--u", "0", "--v", "9", "--top", "3", "--out-json", v2_json});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(ReadWholeFile(v1_json), ReadWholeFile(v2_json));
 
@@ -497,8 +506,7 @@ TEST(Cli, SnapshotUpgradeConvertsV1Losslessly) {
                 .code,
             1);
 
-  for (const auto& p :
-       {edges_path, v1_snap, v2_snap, v1_json, v2_json, again}) {
+  for (const auto& p : {v1_snap, v2_snap, v1_json, v2_json, again}) {
     std::remove(p.c_str());
   }
 }

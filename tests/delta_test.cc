@@ -11,6 +11,7 @@
 #include "nucleus/core/decomposition.h"
 #include "nucleus/serve/live_update.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/rng.h"
 #include "nucleus/util/mutex.h"
 #include "test_util.h"
@@ -84,7 +85,7 @@ ChainFixture BuildChain(const Graph& g, const std::string& stem,
   ChainFixture fixture;
   const std::string base_path = TempPath(stem + "_base.nucsnap");
   SnapshotData base = BuildCoreSnapshot(g);
-  EXPECT_TRUE(SaveSnapshot(base, base_path).ok());
+  EXPECT_TRUE(SaveSnapshotV2(base, base_path).ok());
   fixture.paths.push_back(base_path);
 
   auto updater = LiveUpdater::Create(g, base);
@@ -242,7 +243,7 @@ TEST_F(DeltaCorruptionTest, RejectsBadMagicVersionTruncationAndBitFlips) {
   // A snapshot is not a delta.
   const Graph g = testing_util::PaperFigure2Graph();
   const std::string snap = TempPath("delta_not_a_delta.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(BuildCoreSnapshot(g), snap).ok());
+  ASSERT_TRUE(SaveSnapshotV2(BuildCoreSnapshot(g), snap).ok());
   EXPECT_EQ(LoadDelta(snap).status().code(), StatusCode::kInvalidArgument);
   std::remove(snap.c_str());
 }
@@ -286,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, DeltaChainZooTest,
 TEST(DeltaChain, BaseOnlyChainValidatesFingerprint) {
   const Graph g = testing_util::PaperFigure2Graph();
   const std::string base_path = TempPath("chain_baseonly.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(BuildCoreSnapshot(g), base_path).ok());
+  ASSERT_TRUE(SaveSnapshotV2(BuildCoreSnapshot(g), base_path).ok());
 
   ChainLink link;
   StatusOr<SnapshotData> resolved = ResolveChain({base_path}, g, &link);
@@ -354,7 +355,7 @@ TEST(DeltaChain, RejectsNonCoreBaseWrongOrderAndCorruptMiddleLink) {
     truss.family = Family::kTruss23;
     truss.algorithm = Algorithm::kFnd;
     const std::string truss_path = TempPath("chain_truss_base.nucsnap");
-    ASSERT_TRUE(SaveSnapshot(
+    ASSERT_TRUE(SaveSnapshotV2(
                     MakeSnapshot(g, truss, Decompose(g, truss), false),
                     truss_path)
                     .ok());
@@ -371,7 +372,7 @@ TEST(DeltaChain, RejectsNonCoreBaseWrongOrderAndCorruptMiddleLink) {
     const Graph other = ErdosRenyiGnp(40, 0.12, 8);
     const std::string other_base = TempPath("chain_other_base.nucsnap");
     ASSERT_TRUE(
-        SaveSnapshot(BuildCoreSnapshot(other), other_base).ok());
+        SaveSnapshotV2(BuildCoreSnapshot(other), other_base).ok());
     std::vector<std::string> cross{other_base, fixture.paths[1]};
     EXPECT_FALSE(ResolveChain(cross, fixture.final_graph).ok());
     std::remove(other_base.c_str());

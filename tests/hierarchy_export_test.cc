@@ -8,6 +8,7 @@
 
 #include "nucleus/core/decomposition.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -145,7 +146,7 @@ TEST(HierarchyToJson, SnapshotLoadedHierarchyExportsIdentically) {
   const DecompositionResult result = Decompose(g, options);
   const SnapshotData original = MakeSnapshot(g, options, result, false);
   const std::string path = testing_util::TempPath("export_check.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(original, path).ok());
+  ASSERT_TRUE(SaveSnapshotV2(original, path).ok());
   StatusOr<SnapshotData> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 

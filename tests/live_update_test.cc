@@ -20,6 +20,7 @@
 #include "nucleus/serve/query_engine.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/rng.h"
 #include "nucleus/util/mutex.h"
 #include "test_util.h"
@@ -231,7 +232,7 @@ TEST_P(LiveUpdateEquivalenceTest, UpdatedEngineMatchesFreshDecomposeAndLoad) {
     const std::string path = TempPath(
         "live_eq_" + GetParam().name + "_" + std::to_string(round) +
         ".nucsnap");
-    ASSERT_TRUE(SaveSnapshot(BuildCoreSnapshot(edited), path).ok());
+    ASSERT_TRUE(SaveSnapshotV2(BuildCoreSnapshot(edited), path).ok());
     StatusOr<SnapshotData> loaded = LoadSnapshot(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     const std::unique_ptr<QueryEngine> fresh_ptr =

@@ -10,6 +10,7 @@
 #include "nucleus/core/decomposition.h"
 #include "nucleus/core/hierarchy_index.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/rng.h"
 #include "test_util.h"
 
@@ -198,7 +199,7 @@ TEST(QueryEngine, SnapshotLoadedEngineMatchesFreshEngine) {
   const Graph g = Caveman(4, 8, 6, 29);
   SnapshotData fresh = BuildSnapshot(g, Family::kTruss23, true);
   const std::string path = TempPath("engine_roundtrip.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(fresh, path).ok());
+  ASSERT_TRUE(SaveSnapshotV2(fresh, path).ok());
   StatusOr<SnapshotData> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 

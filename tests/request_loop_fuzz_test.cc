@@ -24,6 +24,7 @@
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -233,7 +234,7 @@ TEST(RequestLoopFuzz, RoutedRegistryNoCrashOneJsonPerLineThreadInvariant) {
   alpha_options.family = Family::kCore12;
   alpha_options.algorithm = Algorithm::kDft;
   const std::string alpha_snapshot = TempPath("fuzz_alpha.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(
+  ASSERT_TRUE(SaveSnapshotV2(
                   MakeSnapshot(alpha_graph, alpha_options,
                                Decompose(alpha_graph, alpha_options), true),
                   alpha_snapshot)
@@ -243,7 +244,7 @@ TEST(RequestLoopFuzz, RoutedRegistryNoCrashOneJsonPerLineThreadInvariant) {
   DecomposeOptions beta_options;
   beta_options.family = Family::kTruss23;
   const std::string beta_snapshot = TempPath("fuzz_beta.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(
+  ASSERT_TRUE(SaveSnapshotV2(
                   MakeSnapshot(beta_graph, beta_options,
                                Decompose(beta_graph, beta_options), true),
                   beta_snapshot)

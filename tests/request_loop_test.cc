@@ -11,6 +11,7 @@
 #include "nucleus/core/decomposition.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -183,7 +184,7 @@ TEST(ServeRequests, StatsVerbSchemaIsPinned) {
   TenantSpec spec;
   spec.name = "pinned";
   spec.snapshot_path = testing_util::TempPath("stats_schema.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(MakeSnapshot(g, options, std::move(result),
+  ASSERT_TRUE(SaveSnapshotV2(MakeSnapshot(g, options, std::move(result),
                                         /*with_index=*/true),
                            spec.snapshot_path)
                   .ok());

@@ -15,6 +15,7 @@
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -45,7 +46,7 @@ struct LiveTenantFiles {
     DecompositionResult result = Decompose(graph, options);
     spec.name = name;
     spec.snapshot_path = TempPath("routed_" + name + ".nucsnap");
-    EXPECT_TRUE(SaveSnapshot(MakeSnapshot(graph, options, std::move(result),
+    EXPECT_TRUE(SaveSnapshotV2(MakeSnapshot(graph, options, std::move(result),
                                           /*with_index=*/true),
                              spec.snapshot_path)
                     .ok());

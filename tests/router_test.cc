@@ -33,6 +33,7 @@
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -99,7 +100,7 @@ std::string SharedSnapshotPath() {
     options.algorithm = Algorithm::kFnd;
     auto* p = new std::string(TempPath("router_shared.nucsnap"));
     EXPECT_TRUE(
-        SaveSnapshot(MakeSnapshot(g, options, Decompose(g, options), true),
+        SaveSnapshotV2(MakeSnapshot(g, options, Decompose(g, options), true),
                      *p)
             .ok());
     return p;
@@ -585,7 +586,7 @@ TEST(RouterMigrate, DirtyLiveTenantKeepsAppliedUpdates) {
   options.algorithm = Algorithm::kDft;
   const std::string snapshot_path = TempPath("router_migrate.nucsnap");
   ASSERT_TRUE(
-      SaveSnapshot(MakeSnapshot(g, options, Decompose(g, options), true),
+      SaveSnapshotV2(MakeSnapshot(g, options, Decompose(g, options), true),
                    snapshot_path)
           .ok());
   const std::string graph_path = TempPath("router_migrate_edges.txt");

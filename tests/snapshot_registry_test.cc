@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <span>
@@ -23,6 +24,7 @@
 #include "nucleus/graph/edge_list_io.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/mutex.h"
 #include "test_util.h"
 
@@ -59,7 +61,7 @@ std::string WriteSnapshotFile(const Graph& g, Family family,
   const SnapshotData snapshot =
       MakeSnapshot(g, options, std::move(result), /*with_index=*/true);
   const std::string path = TempPath(name);
-  EXPECT_TRUE(SaveSnapshot(snapshot, path).ok());
+  EXPECT_TRUE(SaveSnapshotV2(snapshot, path).ok());
   return path;
 }
 
@@ -208,6 +210,52 @@ TEST(SnapshotRegistry, AttachFaultInjectionSweep) {
     EXPECT_TRUE(RunLambda(registry, "alpha", 0).status.ok());
     EXPECT_TRUE(RunLambda(registry, "gamma", 0).status.ok());
   }
+}
+
+// The two memory modes' verification contracts on one file with a flipped
+// density-ranking byte: heap (owned) verifies every section at attach and
+// refuses the tenant, naming the section; mmap attaches, keeps answering
+// the queries that never read the ranking, and fails the first one that
+// does.
+TEST(SnapshotRegistry, FlippedSectionFailsHeapAttachAndFirstMmapTopQuery) {
+  Fleet fleet;
+  std::string bytes = ReadFile(fleet.b.snapshot_path);
+  // Directory entry 10 (density_ranking) starts at 72 + 9 * 32; its
+  // section offset is the entry's second 8-byte field.
+  std::int64_t ranking_offset = 0;
+  std::memcpy(&ranking_offset, bytes.data() + 72 + 9 * 32 + 8, 8);
+  bytes[static_cast<std::size_t>(ranking_offset)] ^= 0x01;
+  TenantSpec broken = fleet.b;
+  broken.name = "broken";
+  broken.snapshot_path = TempPath("reg_flipped_section.nucsnap");
+  WriteFile(broken.snapshot_path, bytes);
+
+  RegistryOptions heap_options;
+  heap_options.memory_mode = SnapshotMemoryMode::kHeap;
+  SnapshotRegistry heap_registry(heap_options);
+  const Status attach = heap_registry.Attach(broken);
+  ASSERT_FALSE(attach.ok());
+  EXPECT_NE(attach.message().find("tenant 'broken'"), std::string::npos);
+  EXPECT_NE(attach.message().find("density_ranking: checksum mismatch"),
+            std::string::npos)
+      << attach.ToString();
+  EXPECT_TRUE(heap_registry.TenantNames().empty());
+
+  RegistryOptions mmap_options;
+  mmap_options.memory_mode = SnapshotMemoryMode::kMmap;
+  SnapshotRegistry mmap_registry(mmap_options);
+  ASSERT_TRUE(mmap_registry.Attach(broken).ok());
+  EXPECT_TRUE(RunLambda(mmap_registry, "broken", 0).status.ok());
+  StatusOr<SnapshotRegistry::Lease> lease = mmap_registry.Acquire("broken");
+  ASSERT_TRUE(lease.ok());
+  const QueryEngine::Response top =
+      lease->engine().Run({QueryEngine::QueryKind::kTop, 3, 0});
+  ASSERT_FALSE(top.status.ok());
+  EXPECT_NE(top.status.message().find("density_ranking: checksum mismatch"),
+            std::string::npos)
+      << top.status.ToString();
+  EXPECT_TRUE(RunLambda(mmap_registry, "broken", 1).status.ok());
+  std::remove(broken.snapshot_path.c_str());
 }
 
 // A live tenant whose graph does not match its snapshot (fingerprint

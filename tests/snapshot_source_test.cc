@@ -1,13 +1,16 @@
-// SnapshotSource differential suite: a HeapSource over a v1 file and an
-// MmapSource over the v2 encoding of the SAME snapshot must be
-// indistinguishable to clients — every query kind, every graph in the
-// zoo, every thread count in {1, 2, 4, 8}, compared response by response
-// AND on the serialized protocol bytes. Suites are named MmapSource* so
-// the CI TSan job picks them up.
+// SnapshotSource differential suite: the three ways to hold one snapshot
+// — encoded in memory (FromSnapshotData), a v2 file read into an owned
+// buffer (kHeap) and the same file mapped (kMmap) — must be
+// indistinguishable to clients: every query kind, every graph in the zoo,
+// every thread count in {1, 2, 4, 8}, compared response by response AND
+// on the serialized protocol bytes. Suites are named MmapSource* so the
+// CI TSan job picks them up.
 #include "nucleus/store/snapshot_source.h"
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,56 +81,99 @@ void ExpectResponsesEqual(const QueryEngine::Response& a,
   if (a.members != nullptr) EXPECT_EQ(*a.members, *b.members);
 }
 
+/// The three holdings of `snapshot`, in the order the tests name them.
+struct Holdings {
+  std::shared_ptr<const SnapshotSource> encoded;
+  std::shared_ptr<const SnapshotSource> owned;
+  std::shared_ptr<const SnapshotSource> mapped;
+};
+
+Holdings HoldThreeWays(const SnapshotData& snapshot, const std::string& path) {
+  EXPECT_TRUE(SaveSnapshotV2(snapshot, path).ok());
+  Holdings h;
+  h.encoded = SnapshotSource::FromSnapshotData(snapshot);
+  auto owned = OpenSnapshotSource(path, SnapshotMemoryMode::kHeap);
+  auto mapped = OpenSnapshotSource(path, SnapshotMemoryMode::kMmap);
+  EXPECT_TRUE(owned.ok()) << owned.status().ToString();
+  EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+  if (owned.ok()) h.owned = std::move(*owned);
+  if (mapped.ok()) h.mapped = std::move(*mapped);
+  return h;
+}
+
+template <typename T>
+std::vector<T> Copy(std::span<const T> span) {
+  return {span.begin(), span.end()};
+}
+
+/// Every section of `a` and `b` holds the same values.
+void ExpectSameSections(const SnapshotSource& a, const SnapshotSource& b) {
+  EXPECT_EQ(Copy(a.CliqueLambdas()), Copy(b.CliqueLambdas()));
+  EXPECT_EQ(Copy(a.NodeLambdas()), Copy(b.NodeLambdas()));
+  EXPECT_EQ(Copy(a.NodeParents()), Copy(b.NodeParents()));
+  EXPECT_EQ(Copy(a.NodeOfCliques()), Copy(b.NodeOfCliques()));
+  EXPECT_EQ(Copy(a.Depths()), Copy(b.Depths()));
+  EXPECT_EQ(Copy(a.UpTable()), Copy(b.UpTable()));
+  EXPECT_EQ(a.IndexLevels(), b.IndexLevels());
+  EXPECT_EQ(Copy(a.DensityRanking()), Copy(b.DensityRanking()));
+  for (std::int32_t node = 0; node < a.NumNodes(); ++node) {
+    EXPECT_EQ(a.SubtreeSize(node), b.SubtreeSize(node)) << "node " << node;
+    EXPECT_EQ(a.MaterializeMembers(node), b.MaterializeMembers(node))
+        << "node " << node;
+  }
+}
+
 class MmapSourceZooTest
     : public ::testing::TestWithParam<testing_util::GraphCase> {};
 
 TEST_P(MmapSourceZooTest, HeapAndMmapAnswerByteIdenticallyAtAllThreadCounts) {
   const Graph g = GetParam().make();
   const SnapshotData snapshot = BuildSnapshot(g, Family::kTruss23);
-  const std::string v1_path =
-      TempPath("diff_" + GetParam().name + "_v1.nucsnap");
-  const std::string v2_path =
-      TempPath("diff_" + GetParam().name + "_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(snapshot, v1_path).ok());
-  ASSERT_TRUE(SaveSnapshotV2(snapshot, v2_path).ok());
+  const std::string path = TempPath("diff_" + GetParam().name + ".nucsnap");
+  const Holdings h = HoldThreeWays(snapshot, path);
+  ASSERT_NE(h.owned, nullptr);
+  ASSERT_NE(h.mapped, nullptr);
+  EXPECT_EQ(h.encoded->MappedBytes(), 0);
+  EXPECT_EQ(h.owned->MappedBytes(), 0);
+  EXPECT_GT(h.mapped->MappedBytes(), 0);
+  // The in-memory encoding IS the file: same size, same sections.
+  EXPECT_EQ(h.encoded->HeapBytes(), h.owned->HeapBytes());
+  ASSERT_TRUE(h.mapped->Ensure(kNeedAll).ok());
+  ExpectSameSections(*h.encoded, *h.mapped);
 
-  auto heap_source = OpenSnapshotSource(v1_path, SnapshotMemoryMode::kHeap);
-  ASSERT_TRUE(heap_source.ok()) << heap_source.status().ToString();
-  auto mmap_source = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
-  ASSERT_TRUE(mmap_source.ok()) << mmap_source.status().ToString();
-  EXPECT_EQ((*heap_source)->MappedBytes(), 0);
-  EXPECT_GT((*mmap_source)->MappedBytes(), 0);
-
-  const std::unique_ptr<QueryEngine> heap_engine =
-      QueryEngine::FromSource(std::move(*heap_source));
-  const std::unique_ptr<QueryEngine> mmap_engine =
-      QueryEngine::FromSource(std::move(*mmap_source));
-  EXPECT_EQ(heap_engine->NumCliques(), mmap_engine->NumCliques());
-  EXPECT_EQ(heap_engine->NumNodes(), mmap_engine->NumNodes());
-  EXPECT_EQ(heap_engine->NumNuclei(), mmap_engine->NumNuclei());
+  const std::unique_ptr<QueryEngine> engines[] = {
+      QueryEngine::FromSource(h.encoded), QueryEngine::FromSource(h.owned),
+      QueryEngine::FromSource(h.mapped)};
+  const QueryEngine& reference = *engines[0];
+  for (const auto& engine : engines) {
+    EXPECT_EQ(engine->NumCliques(), reference.NumCliques());
+    EXPECT_EQ(engine->NumNodes(), reference.NumNodes());
+    EXPECT_EQ(engine->NumNuclei(), reference.NumNuclei());
+  }
 
   const auto workload =
-      FullWorkload(heap_engine->NumCliques(), heap_engine->NumNodes(),
-                   heap_engine->meta().max_lambda);
+      FullWorkload(reference.NumCliques(), reference.NumNodes(),
+                   reference.meta().max_lambda);
   for (const int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
-    const auto heap_responses = heap_engine->RunBatch(workload, pool);
-    const auto mmap_responses = mmap_engine->RunBatch(workload, pool);
-    ASSERT_EQ(heap_responses.size(), mmap_responses.size());
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-      ExpectResponsesEqual(heap_responses[i], mmap_responses[i]);
-    }
-    // The serialized protocol answers — what a client actually reads off
-    // the wire — are byte-identical too.
-    for (std::size_t i = 0; i < workload.size(); i += 7) {
-      EXPECT_EQ(ResponseToJson(workload[i], heap_responses[i]),
-                ResponseToJson(workload[i], mmap_responses[i]));
+    const auto expected = reference.RunBatch(workload, pool);
+    for (std::size_t e = 1; e < std::size(engines); ++e) {
+      SCOPED_TRACE(e == 1 ? "owned" : "mapped");
+      const auto responses = engines[e]->RunBatch(workload, pool);
+      ASSERT_EQ(responses.size(), expected.size());
+      for (std::size_t i = 0; i < workload.size(); ++i) {
+        ExpectResponsesEqual(expected[i], responses[i]);
+      }
+      // The serialized protocol answers — what a client actually reads
+      // off the wire — are byte-identical too.
+      for (std::size_t i = 0; i < workload.size(); i += 7) {
+        EXPECT_EQ(ResponseToJson(workload[i], expected[i]),
+                  ResponseToJson(workload[i], responses[i]));
+      }
     }
   }
-
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, MmapSourceZooTest,
@@ -135,83 +181,50 @@ INSTANTIATE_TEST_SUITE_P(Zoo, MmapSourceZooTest,
                          [](const auto& info) { return info.param.name; });
 
 TEST(MmapSource, ZeroCopyFootprintIsSmallerThanHeap) {
-  // Large enough that the heap source's materialized arrays dwarf the
-  // mapped source's fixed bookkeeping overhead.
+  // Large enough that the owned image dwarfs the mapped source's fixed
+  // bookkeeping.
   const Graph g = ErdosRenyiGnp(400, 0.05, 11);
   const SnapshotData snapshot = BuildSnapshot(g, Family::kCore12);
-  const std::string v1_path = TempPath("foot_v1.nucsnap");
-  const std::string v2_path = TempPath("foot_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(snapshot, v1_path).ok());
-  ASSERT_TRUE(SaveSnapshotV2(snapshot, v2_path).ok());
+  const std::string path = TempPath("foot.nucsnap");
+  const Holdings h = HoldThreeWays(snapshot, path);
+  ASSERT_NE(h.owned, nullptr);
+  ASSERT_NE(h.mapped, nullptr);
 
-  auto heap_source = OpenSnapshotSource(v1_path, SnapshotMemoryMode::kHeap);
-  auto mmap_source = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
-  ASSERT_TRUE(heap_source.ok());
-  ASSERT_TRUE(mmap_source.ok());
-
-  // The mapped view owns no materialized arrays: its heap charge must be
-  // a small fraction of the fully rebuilt snapshot's.
-  EXPECT_GT((*heap_source)->HeapBytes(), 0);
-  EXPECT_LT((*mmap_source)->HeapBytes(), (*heap_source)->HeapBytes() / 4);
-
-  // Both sources materialize identical sorted member lists.
-  for (std::int32_t node = 0; node < (*heap_source)->NumNodes(); ++node) {
-    EXPECT_EQ((*heap_source)->MaterializeMembers(node),
-              (*mmap_source)->MaterializeMembers(node))
-        << "node " << node;
-    EXPECT_EQ((*heap_source)->SubtreeSize(node),
-              (*mmap_source)->SubtreeSize(node))
-        << "node " << node;
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  // The mapping owns no section bytes: its heap charge must be a small
+  // fraction of the owned copy's.
+  EXPECT_GT(h.owned->HeapBytes(), h.mapped->MappedBytes());
+  EXPECT_LT(h.mapped->HeapBytes(), h.owned->HeapBytes() / 4);
+  std::remove(path.c_str());
 }
 
 TEST(MmapSource, MetaAndViewsMatchHeapSource) {
   const Graph g = testing_util::PaperFigure2Graph();
   const SnapshotData snapshot = BuildSnapshot(g, Family::kCore12);
-  const std::string v1_path = TempPath("meta_v1.nucsnap");
-  const std::string v2_path = TempPath("meta_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(snapshot, v1_path).ok());
-  ASSERT_TRUE(SaveSnapshotV2(snapshot, v2_path).ok());
+  const std::string path = TempPath("meta.nucsnap");
+  const Holdings h = HoldThreeWays(snapshot, path);
+  ASSERT_NE(h.owned, nullptr);
+  ASSERT_NE(h.mapped, nullptr);
+  ASSERT_TRUE(h.mapped->Ensure(kNeedAll).ok());
 
-  auto heap_source = OpenSnapshotSource(v1_path, SnapshotMemoryMode::kHeap);
-  auto mmap_source = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
-  ASSERT_TRUE(heap_source.ok());
-  ASSERT_TRUE(mmap_source.ok());
-  ASSERT_TRUE((*mmap_source)->Ensure(kNeedLookup | kNeedIndex | kNeedSizes |
-                                     kNeedMembers | kNeedRanking)
-                  .ok());
-
-  const SnapshotMeta& a = (*heap_source)->meta();
-  const SnapshotMeta& b = (*mmap_source)->meta();
-  EXPECT_EQ(a.family, b.family);
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.num_vertices, b.num_vertices);
-  EXPECT_EQ(a.num_edges, b.num_edges);
-  EXPECT_EQ(a.graph_fingerprint, b.graph_fingerprint);
-  EXPECT_EQ(a.num_cliques, b.num_cliques);
-  EXPECT_EQ(a.max_lambda, b.max_lambda);
-
-  const SourceView va = MakeSourceView(**heap_source);
-  const SourceView vb = MakeSourceView(**mmap_source);
-  ASSERT_EQ(va.node_lambda.size(), vb.node_lambda.size());
-  ASSERT_EQ(va.up.size(), vb.up.size());
-  EXPECT_EQ(va.levels, vb.levels);
-  for (std::size_t i = 0; i < va.node_lambda.size(); ++i) {
-    EXPECT_EQ(va.node_lambda[i], vb.node_lambda[i]);
-    EXPECT_EQ(va.node_parent[i], vb.node_parent[i]);
-    EXPECT_EQ(va.depth[i], vb.depth[i]);
+  for (const SnapshotSource* source : {h.owned.get(), h.mapped.get()}) {
+    const SnapshotMeta& a = h.encoded->meta();
+    const SnapshotMeta& b = source->meta();
+    EXPECT_EQ(a.family, b.family);
+    EXPECT_EQ(a.algorithm, b.algorithm);
+    EXPECT_EQ(a.num_vertices, b.num_vertices);
+    EXPECT_EQ(a.num_edges, b.num_edges);
+    EXPECT_EQ(a.graph_fingerprint, b.graph_fingerprint);
+    EXPECT_EQ(a.num_cliques, b.num_cliques);
+    EXPECT_EQ(a.max_lambda, b.max_lambda);
+    ExpectSameSections(*h.encoded, *source);
   }
-  for (std::size_t i = 0; i < va.up.size(); ++i) {
-    EXPECT_EQ(va.up[i], vb.up[i]);
-  }
-  ASSERT_EQ(va.ranking.size(), vb.ranking.size());
-  for (std::size_t i = 0; i < va.ranking.size(); ++i) {
-    EXPECT_EQ(va.ranking[i], vb.ranking[i]);
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  // Materializing the owned source gives back the snapshot it encodes.
+  const SnapshotData round_trip = h.owned->ToSnapshotData();
+  EXPECT_EQ(round_trip.peel.lambda, snapshot.peel.lambda);
+  EXPECT_EQ(round_trip.index_tables.up, snapshot.index_tables.up);
+  EXPECT_EQ(round_trip.hierarchy.NodeOfCliqueArray(),
+            snapshot.hierarchy.NodeOfCliqueArray());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
+// Snapshot round trips through the written format (v2) and the v1 reader,
+// whose inputs are the checked-in fixtures of tests/data/v1.
 #include "nucleus/store/snapshot.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nucleus/core/decomposition.h"
 #include "nucleus/core/hierarchy_index.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -59,7 +63,7 @@ TEST_P(SnapshotZooTest, RoundTripsLosslesslyAllFamilies) {
   for (Family family :
        {Family::kCore12, Family::kTruss23, Family::kNucleus34}) {
     const SnapshotData original = BuildSnapshot(g, family, true);
-    ASSERT_TRUE(SaveSnapshot(original, path).ok());
+    ASSERT_TRUE(SaveSnapshotV2(original, path).ok());
 
     StatusOr<SnapshotData> loaded = LoadSnapshot(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -92,23 +96,31 @@ INSTANTIATE_TEST_SUITE_P(Zoo, SnapshotZooTest, ::testing::ValuesIn(GraphZoo()),
 // Details and probes.
 
 TEST(Snapshot, RoundTripsWithoutIndexTables) {
+  // v1 could omit the jump tables; its reader must say so, and still
+  // rebuild the exact hierarchy, for every family.
   const Graph g = testing_util::PaperFigure2Graph();
-  const SnapshotData original = BuildSnapshot(g, Family::kTruss23, false);
-  const std::string path = TempPath("noindex.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(original, path).ok());
-  StatusOr<SnapshotData> loaded = LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->has_index);
-  EXPECT_TRUE(loaded->index_tables.up.empty());
-  ExpectHierarchyEqual(original.hierarchy, loaded->hierarchy);
-  std::remove(path.c_str());
+  for (const auto& [family, name] :
+       {std::pair{Family::kCore12, "core"},
+        std::pair{Family::kTruss23, "truss"},
+        std::pair{Family::kNucleus34, "34"}}) {
+    SCOPED_TRACE(name);
+    const SnapshotData original = BuildSnapshot(g, family, false);
+    StatusOr<SnapshotData> loaded = LoadSnapshot(testing_util::V1FixturePath(
+        std::string("figure2_") + name + "_noindex"));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_FALSE(loaded->has_index);
+    EXPECT_TRUE(loaded->index_tables.up.empty());
+    EXPECT_EQ(loaded->meta.family, family);
+    EXPECT_EQ(loaded->peel.lambda, original.peel.lambda);
+    ExpectHierarchyEqual(original.hierarchy, loaded->hierarchy);
+  }
 }
 
 TEST(Snapshot, IndexTablesMatchFreshBuild) {
   const Graph g = ErdosRenyiGnp(60, 0.10, 11);
   const SnapshotData original = BuildSnapshot(g, Family::kCore12, true);
   const std::string path = TempPath("tables.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(original, path).ok());
+  ASSERT_TRUE(SaveSnapshotV2(original, path).ok());
   StatusOr<SnapshotData> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const HierarchyIndexTables rebuilt =
@@ -123,7 +135,7 @@ TEST(Snapshot, MetaProbeMatchesFullLoad) {
   const Graph g = testing_util::BowTieGraph();
   const SnapshotData original = BuildSnapshot(g, Family::kNucleus34, true);
   const std::string path = TempPath("probe.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(original, path).ok());
+  ASSERT_TRUE(SaveSnapshotV2(original, path).ok());
   StatusOr<SnapshotMeta> meta = ReadSnapshotMeta(path);
   ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   EXPECT_EQ(meta->family, Family::kNucleus34);
@@ -144,7 +156,7 @@ TEST(Snapshot, GraphFingerprintDiscriminates) {
 TEST(Snapshot, SaveFailsOnUnwritablePath) {
   const SnapshotData snapshot =
       BuildSnapshot(Path(4), Family::kCore12, false);
-  const Status s = SaveSnapshot(snapshot, "/nonexistent_dir/x.nucsnap");
+  const Status s = SaveSnapshotV2(snapshot, "/nonexistent_dir/x.nucsnap");
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
 }
@@ -179,12 +191,10 @@ void Rechecksum(std::string* bytes) {
                  reinterpret_cast<const char*>(&hash), 8);
 }
 
+/// A scratch copy of the v1 Figure 2 core fixture, free to corrupt.
 std::string WriteFigure2Snapshot(const std::string& name, bool with_index) {
-  const std::string path = TempPath(name);
-  const SnapshotData snapshot = BuildSnapshot(
-      testing_util::PaperFigure2Graph(), Family::kCore12, with_index);
-  EXPECT_TRUE(SaveSnapshot(snapshot, path).ok());
-  return path;
+  return testing_util::CopyV1Fixture(
+      with_index ? "figure2_core_index" : "figure2_core_noindex", name);
 }
 
 TEST(SnapshotNegative, MissingFileIsNotFound) {

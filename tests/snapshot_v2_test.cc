@@ -1,6 +1,8 @@
-// .nucsnap v2: round trips, upgrades, the version probe, and a corruption
-// sweep mirroring snapshot_test.cc's negative catalogue — every byte-level
-// and structural corruption mode must surface as a Status, never as UB.
+// .nucsnap v2: round trips, upgrades of the v1 fixtures (tests/data/v1),
+// the version probe, and a corruption sweep mirroring snapshot_test.cc's
+// negative catalogue — every byte-level and structural corruption mode
+// must surface as a Status, never as UB, in both memory modes: an owned
+// open rejects the file, a mapped open rejects it at open or on first use.
 // Suites are named SnapshotSourceV2* so the CI TSan job picks them up.
 #include "nucleus/store/snapshot_v2.h"
 
@@ -10,12 +12,15 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nucleus/core/decomposition.h"
 #include "nucleus/core/hierarchy_index.h"
+#include "nucleus/serve/query_engine.h"
+#include "nucleus/serve/request_loop.h"
 #include "nucleus/store/delta.h"
 #include "nucleus/store/snapshot_source.h"
 #include "test_util.h"
@@ -55,6 +60,30 @@ void ExpectHierarchyEqual(const NucleusHierarchy& a,
   }
 }
 
+/// Every lambda / nucleus / common / members / top answer of `a` and `b`,
+/// compared on the serialized protocol bytes.
+void ExpectSameAnswers(const QueryEngine& a, const QueryEngine& b) {
+  ASSERT_EQ(a.NumCliques(), b.NumCliques());
+  ASSERT_EQ(a.NumNodes(), b.NumNodes());
+  std::vector<QueryEngine::Query> workload;
+  for (std::int64_t u = 0; u < a.NumCliques(); ++u) {
+    workload.push_back({QueryEngine::QueryKind::kLambda, u, 0});
+    for (Lambda k = 1; k <= a.meta().max_lambda; ++k) {
+      workload.push_back({QueryEngine::QueryKind::kNucleus, u, k});
+    }
+    workload.push_back(
+        {QueryEngine::QueryKind::kCommon, u, (u * 5 + 1) % a.NumCliques()});
+  }
+  for (std::int64_t node = 0; node < a.NumNodes(); ++node) {
+    workload.push_back({QueryEngine::QueryKind::kMembers, node, 0});
+  }
+  workload.push_back({QueryEngine::QueryKind::kTop, a.NumNodes(), 0});
+  for (const QueryEngine::Query& query : workload) {
+    EXPECT_EQ(ResponseToJson(query, a.Run(query)),
+              ResponseToJson(query, b.Run(query)));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Round trips and upgrades.
 
@@ -89,13 +118,14 @@ TEST_P(SnapshotSourceV2ZooTest, EagerLoadRoundTripsLosslesslyAllFamilies) {
 }
 
 TEST_P(SnapshotSourceV2ZooTest, UpgradeConvertsV1Losslessly) {
+  // The zoo's v1 fixtures are (1,2) FND snapshots with index tables.
   const Graph g = GetParam().make();
   const SnapshotData original = BuildSnapshot(g, Family::kCore12, true);
-  const std::string v1_path =
-      TempPath("upgrade_" + GetParam().name + "_v1.nucsnap");
+  const std::string v1_path = testing_util::CopyV1Fixture(
+      GetParam().name + "_core_index",
+      "upgrade_" + GetParam().name + "_v1.nucsnap");
   const std::string v2_path =
       TempPath("upgrade_" + GetParam().name + "_v2.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(original, v1_path).ok());
 
   ASSERT_TRUE(UpgradeSnapshot(v1_path, v2_path).ok());
   auto version = ReadSnapshotVersion(v2_path);
@@ -104,8 +134,16 @@ TEST_P(SnapshotSourceV2ZooTest, UpgradeConvertsV1Losslessly) {
 
   StatusOr<SnapshotData> upgraded = LoadSnapshotV2(v2_path);
   ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
+  EXPECT_EQ(upgraded->meta.graph_fingerprint, GraphFingerprint(g));
   EXPECT_EQ(upgraded->peel.lambda, original.peel.lambda);
   ExpectHierarchyEqual(original.hierarchy, upgraded->hierarchy);
+  EXPECT_EQ(upgraded->index_tables.up, original.index_tables.up);
+
+  // The upgraded file, mapped, answers like the fresh decomposition.
+  auto mapped = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ExpectSameAnswers(*QueryEngine::FromSource(std::move(*mapped)),
+                    *QueryEngine::FromSnapshotData(original));
 
   std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
@@ -123,11 +161,39 @@ std::string WriteFigure2V2(const std::string& name) {
   return path;
 }
 
-TEST(SnapshotSourceV2, VersionProbeDistinguishesV1V2AndGarbage) {
+TEST(SnapshotSourceV2, FigureTwoFixturesUpgradeAndAnswerIdentically) {
+  // Every family, with and without v1 index tables: the in-memory upgrade
+  // (OpenSnapshotSource on the v1 file), the upgraded file mapped, and a
+  // fresh decomposition all answer byte-identically.
   const Graph g = testing_util::PaperFigure2Graph();
-  const std::string v1_path = TempPath("probe_v1.nucsnap");
-  ASSERT_TRUE(
-      SaveSnapshot(BuildSnapshot(g, Family::kCore12, true), v1_path).ok());
+  for (const auto& [family, name] :
+       {std::pair{Family::kCore12, "core"},
+        std::pair{Family::kTruss23, "truss"},
+        std::pair{Family::kNucleus34, "34"}}) {
+    for (const char* index : {"_index", "_noindex"}) {
+      const std::string fixture = std::string("figure2_") + name + index;
+      SCOPED_TRACE(fixture);
+      const std::string v2_path = TempPath(fixture + "_up.nucsnap");
+      ASSERT_TRUE(
+          UpgradeSnapshot(testing_util::V1FixturePath(fixture), v2_path).ok());
+      auto in_memory = OpenSnapshotSource(testing_util::V1FixturePath(fixture),
+                                          SnapshotMemoryMode::kHeap);
+      auto mapped = OpenSnapshotSource(v2_path, SnapshotMemoryMode::kMmap);
+      ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      const auto fresh =
+          QueryEngine::FromSnapshotData(BuildSnapshot(g, family, true));
+      ExpectSameAnswers(*QueryEngine::FromSource(std::move(*in_memory)),
+                        *fresh);
+      ExpectSameAnswers(*QueryEngine::FromSource(std::move(*mapped)), *fresh);
+      std::remove(v2_path.c_str());
+    }
+  }
+}
+
+TEST(SnapshotSourceV2, VersionProbeDistinguishesV1V2AndGarbage) {
+  const std::string v1_path =
+      testing_util::CopyV1Fixture("figure2_core_index", "probe_v1.nucsnap");
   const std::string v2_path = WriteFigure2V2("probe_v2.nucsnap");
 
   auto v1 = ReadSnapshotVersion(v1_path);
@@ -159,8 +225,8 @@ TEST(SnapshotSourceV2, VersionDispatchLoadsEitherFormatEagerly) {
   // heap memory mode never care which version backs a path.
   const Graph g = testing_util::PaperFigure2Graph();
   const SnapshotData original = BuildSnapshot(g, Family::kCore12, true);
-  const std::string v1_path = TempPath("dispatch_v1.nucsnap");
-  ASSERT_TRUE(SaveSnapshot(original, v1_path).ok());
+  const std::string v1_path =
+      testing_util::CopyV1Fixture("figure2_core_index", "dispatch_v1.nucsnap");
   const std::string v2_path = WriteFigure2V2("dispatch_v2.nucsnap");
 
   for (const std::string& path : {v1_path, v2_path}) {
@@ -297,6 +363,18 @@ std::size_t DirEntry(std::uint32_t section_index) {
   return kDirStart + section_index * 32;
 }
 
+/// The sweep's second memory mode. LoadSnapshotV2 is the owned open; a
+/// mapped open of the same bytes must fail with the same diagnosis, either
+/// at open (header / directory damage) or on the first Ensure that reads
+/// the damaged section.
+void ExpectMappedRejects(const std::string& path, const Status& owned) {
+  ASSERT_FALSE(owned.ok());
+  auto mapped = SnapshotSource::OpenV2(path, SnapshotMemoryMode::kMmap);
+  const Status status =
+      mapped.ok() ? (*mapped)->Ensure(kNeedAll) : mapped.status();
+  EXPECT_EQ(status.message(), owned.message());
+}
+
 TEST(SnapshotSourceV2Negative, MissingFileIsNotFound) {
   auto result = LoadSnapshotV2(TempPath("v2_does_not_exist.nucsnap"));
   ASSERT_FALSE(result.ok());
@@ -312,6 +390,7 @@ TEST(SnapshotSourceV2Negative, RejectsTruncatedHeader) {
   WriteFileBytes(path, std::string("NUCSNAP2") + std::string(92, '\0'));
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   EXPECT_FALSE(OpenSnapshotSource(path, SnapshotMemoryMode::kMmap).ok());
   std::remove(path.c_str());
@@ -324,6 +403,7 @@ TEST(SnapshotSourceV2Negative, RejectsBadMagic) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("bad magic"), std::string::npos);
   std::remove(path.c_str());
 }
@@ -350,6 +430,7 @@ TEST(SnapshotSourceV2Negative, RejectsUnsupportedVersion) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("unsupported snapshot version"),
             std::string::npos);
   std::remove(path.c_str());
@@ -363,6 +444,7 @@ TEST(SnapshotSourceV2Negative, RejectsUnknownFlags) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("unknown snapshot flags"),
             std::string::npos);
   std::remove(path.c_str());
@@ -375,6 +457,7 @@ TEST(SnapshotSourceV2Negative, RejectsTruncatedSection) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("truncated"), std::string::npos);
   EXPECT_FALSE(OpenSnapshotSource(path, SnapshotMemoryMode::kMmap).ok());
   std::remove(path.c_str());
@@ -387,6 +470,7 @@ TEST(SnapshotSourceV2Negative, RejectsTrailingGarbage) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("size mismatch"),
             std::string::npos);
   std::remove(path.c_str());
@@ -401,6 +485,7 @@ TEST(SnapshotSourceV2Negative, RejectsCorruptHeaderDigest) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("corrupt header/directory"),
             std::string::npos);
   EXPECT_FALSE(OpenSnapshotSource(path, SnapshotMemoryMode::kMmap).ok());
@@ -416,6 +501,7 @@ TEST(SnapshotSourceV2Negative, RejectsDirectoryOffsetOutOfRange) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("offset out of range"),
             std::string::npos);
   std::remove(path.c_str());
@@ -430,6 +516,7 @@ TEST(SnapshotSourceV2Negative, RejectsMisalignedSectionOffset) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("offset out of range"),
             std::string::npos);
   std::remove(path.c_str());
@@ -444,6 +531,7 @@ TEST(SnapshotSourceV2Negative, RejectsOverlappingSections) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("overlapping sections"),
             std::string::npos);
   std::remove(path.c_str());
@@ -457,6 +545,7 @@ TEST(SnapshotSourceV2Negative, RejectsFlippedSectionByteEagerly) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find(
                 "lambda: checksum mismatch (corrupt section)"),
             std::string::npos);
@@ -513,6 +602,7 @@ TEST(SnapshotSourceV2Negative, RejectsSemanticCorruptionBehindValidDigest) {
 
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("node_parent"),
             std::string::npos);
 
@@ -531,6 +621,7 @@ TEST(SnapshotSourceV2Negative, RejectsImpossibleCounts) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("impossible counts"),
             std::string::npos);
   std::remove(path.c_str());
@@ -546,21 +637,20 @@ TEST(SnapshotSourceV2Negative, RejectsAbsurdCountsWithoutAllocating) {
   WriteFileBytes(path, bytes);
   auto result = LoadSnapshotV2(path);
   ASSERT_FALSE(result.ok());
+  ExpectMappedRejects(path, result.status());
   EXPECT_NE(result.status().message().find("size mismatch"),
             std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotSourceV2Negative, RejectsMmapModeOnV1Section) {
-  // kMmap over a v1 file falls back to the eager heap loader (documented
-  // in OpenSnapshotSource) — but the bytes must still be a valid snapshot.
-  const std::string path = TempPath("v2_mode_v1.nucsnap");
-  const SnapshotData snapshot = BuildSnapshot(
-      testing_util::PaperFigure2Graph(), Family::kCore12, true);
-  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
+  // kMmap over a v1 file upgrades it in memory (documented in
+  // OpenSnapshotSource) — but the bytes must still be a valid snapshot.
+  const std::string path =
+      testing_util::CopyV1Fixture("figure2_core_index", "v2_mode_v1.nucsnap");
   auto source = OpenSnapshotSource(path, SnapshotMemoryMode::kMmap);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
-  EXPECT_EQ((*source)->MappedBytes(), 0);  // heap fallback, nothing mapped
+  EXPECT_EQ((*source)->MappedBytes(), 0);  // owned upgrade, nothing mapped
 
   std::string bytes = ReadFileBytes(path);
   bytes[bytes.size() / 2] ^= 0x01;

@@ -36,6 +36,7 @@
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -222,7 +223,7 @@ struct FuzzTenants {
     alpha_options.algorithm = Algorithm::kDft;
     alpha.name = "alpha";
     alpha.snapshot_path = TempPath("tcp_alpha.nucsnap");
-    EXPECT_TRUE(SaveSnapshot(
+    EXPECT_TRUE(SaveSnapshotV2(
                     MakeSnapshot(alpha_graph, alpha_options,
                                  Decompose(alpha_graph, alpha_options), true),
                     alpha.snapshot_path)
@@ -235,7 +236,7 @@ struct FuzzTenants {
     beta_options.family = Family::kTruss23;
     beta.name = "beta";
     beta.snapshot_path = TempPath("tcp_beta.nucsnap");
-    EXPECT_TRUE(SaveSnapshot(
+    EXPECT_TRUE(SaveSnapshotV2(
                     MakeSnapshot(beta_graph, beta_options,
                                  Decompose(beta_graph, beta_options), true),
                     beta.snapshot_path)

@@ -7,6 +7,7 @@
 #define NUCLEUS_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <filesystem>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -37,6 +38,22 @@ namespace testing_util {
 // TempDir(); the prefix keeps their files disjoint.
 inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
+
+// ---------------------------------------------------------------------------
+// v1 snapshot fixtures (tests/data/v1, see the README there): the only v1
+// bytes left now that nothing writes the format. `name` is the file stem,
+// e.g. "figure2_core_index". Tests corrupt COPIES, never the originals.
+inline std::string V1FixturePath(const std::string& name) {
+  return std::string(NUCLEUS_TEST_DATA_DIR) + "/v1/" + name + ".v1.nucsnap";
+}
+
+inline std::string CopyV1Fixture(const std::string& name,
+                                 const std::string& temp_name) {
+  const std::string path = TempPath(temp_name);
+  std::filesystem::copy_file(V1FixturePath(name), path,
+                             std::filesystem::copy_options::overwrite_existing);
+  return path;
 }
 
 // ---------------------------------------------------------------------------
