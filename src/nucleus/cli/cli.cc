@@ -48,6 +48,7 @@
 #include "nucleus/store/snapshot_v2.h"
 #include "nucleus/util/mutex.h"
 #include "nucleus/util/parse_util.h"
+#include "nucleus/util/timer.h"
 
 namespace nucleus {
 namespace {
@@ -269,7 +270,9 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
     err << "error: decompose requires --input\n";
     return 2;
   }
+  const Timer load_timer;
   const StatusOr<Graph> graph = ReadEdgeList(input);
+  const double load_seconds = load_timer.Seconds();
   if (!graph.ok()) {
     err << "error: " << graph.status().ToString() << "\n";
     return 1;
@@ -296,6 +299,7 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
 
   out << "graph: " << graph->NumVertices() << " vertices, "
       << graph->NumEdges() << " edges\n";
+  out << "load: " << load_seconds << "s\n";
   out << "family: " << FamilyName(options.family)
       << ", algorithm: " << AlgorithmName(options.algorithm)
       << ", threads: " << options.parallel.ResolvedThreads() << "\n";

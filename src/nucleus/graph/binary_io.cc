@@ -1,6 +1,5 @@
 #include "nucleus/graph/binary_io.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -170,39 +169,9 @@ StatusOr<Graph> ReadBinaryGraph(const std::string& path) {
     }
   }
 
-  // Validate the structural invariants Graph::FromCsr would abort on, so a
-  // corrupted file surfaces as a Status instead of a process abort.
-  if (offsets.front() != 0 || offsets.back() != header.adj_size) {
-    return Status::InvalidArgument("corrupt offsets in " + path);
-  }
-  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      return Status::InvalidArgument("non-monotone offsets in " + path);
-    }
-    for (std::int64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const VertexId w = adj[static_cast<std::size_t>(i)];
-      if (w < 0 || w >= header.num_vertices) {
-        return Status::InvalidArgument("out-of-range vertex id in " + path);
-      }
-      if (w == static_cast<VertexId>(v)) {
-        return Status::InvalidArgument("self-loop in " + path);
-      }
-      if (i > offsets[v] && adj[static_cast<std::size_t>(i - 1)] >= w) {
-        return Status::InvalidArgument("unsorted adjacency in " + path);
-      }
-    }
-  }
-  // Symmetry: every (v, w) entry must have a matching (w, v) entry. The
-  // lists are sorted, so binary search each reverse edge.
-  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    for (std::int64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const VertexId w = adj[static_cast<std::size_t>(i)];
-      const auto begin = adj.begin() + offsets[w];
-      const auto end = adj.begin() + offsets[w + 1];
-      if (!std::binary_search(begin, end, static_cast<VertexId>(v))) {
-        return Status::InvalidArgument("asymmetric adjacency in " + path);
-      }
-    }
+  // A corrupt file surfaces as a Status instead of FromCsr's abort.
+  if (Status s = ValidateCsr(offsets, adj); !s.ok()) {
+    return Status::InvalidArgument(s.message() + " in " + path);
   }
   return Graph::FromCsr(std::move(offsets), std::move(adj));
 }

@@ -41,10 +41,10 @@ struct BinaryGraphHeader {
 Status WriteBinaryGraph(const Graph& g, const std::string& path);
 
 /// Loads a binary CSR file written by WriteBinaryGraph. Validates the
-/// header (magic, version, non-negative sizes) and the structural CSR
-/// invariants (via Graph::FromCsr's checks are abort-level, so structural
-/// problems that a corrupted file could produce — non-monotone offsets,
-/// out-of-range vertex ids — are caught here and returned as errors).
+/// header (magic, version, non-negative sizes) and then the CSR with
+/// ValidateCsr, so a corrupted file (non-monotone offsets, out-of-range
+/// ids, asymmetric lists) is InvalidArgument naming the path instead of
+/// Graph::FromCsr's abort.
 StatusOr<Graph> ReadBinaryGraph(const std::string& path);
 
 /// Reads and validates only the header — cheap metadata probe used by the

@@ -1,9 +1,17 @@
 // Plain-text graph IO: whitespace-separated edge lists (the SNAP format the
 // paper's datasets ship in) and MatrixMarket coordinate files (UF Sparse
 // Matrix Collection format, used by uk-2005).
+//
+// Cost contract: the readers stream their input through one buffer of
+// kEdgeListChunkBytes (grown only for a single longer line) and parse it in
+// O(file size), with no per-line allocation, no whole-file buffer and no
+// mapping; memory beyond that buffer is GraphBuilder's (one 8-byte pair per
+// edge line) and the resulting Graph. WriteEdgeList formats into one buffer
+// of the same size.
 #ifndef NUCLEUS_GRAPH_EDGE_LIST_IO_H_
 #define NUCLEUS_GRAPH_EDGE_LIST_IO_H_
 
+#include <cstddef>
 #include <string>
 
 #include "nucleus/graph/graph.h"
@@ -11,11 +19,18 @@
 
 namespace nucleus {
 
+/// Bytes per read (and per write) of the edge-list stream.
+inline constexpr std::size_t kEdgeListChunkBytes = std::size_t{1} << 20;
+
 /// Reads a whitespace-separated edge list. Lines starting with '#' or '%'
 /// are comments. Directions are ignored, self-loops and duplicates dropped
 /// (paper Section 5: "We ignore the directions for directed graphs").
 /// Vertex ids must be non-negative integers; the graph gets
-/// max_id + 1 vertices.
+/// max_id + 1 vertices. Tokens after the second id are ignored. Errors: a
+/// malformed line is InvalidArgument naming its line number and text, an id
+/// over 2^31-2 is OutOfRange naming the line, a missing file is NotFound,
+/// and a read error (a directory, a failing disk) is Internal naming the
+/// path.
 StatusOr<Graph> ReadEdgeList(const std::string& path);
 
 /// Parses an edge list from an in-memory string (same format as above).
@@ -26,7 +41,8 @@ Status WriteEdgeList(const Graph& g, const std::string& path);
 
 /// Reads a MatrixMarket coordinate file as an undirected graph. Supports
 /// "pattern", "integer" and "real" fields; values are ignored. 1-based
-/// indices per the format.
+/// indices per the format; index 0 is InvalidArgument naming its line
+/// (counted from the header, line 1). Other errors as for ReadEdgeList.
 StatusOr<Graph> ReadMatrixMarket(const std::string& path);
 
 }  // namespace nucleus

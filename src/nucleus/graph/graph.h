@@ -4,6 +4,9 @@
 // paper's graphs are "undirected, unattributed" (Section 1.1); directions of
 // input edges are dropped, self-loops and duplicate edges removed, by
 // GraphBuilder before a Graph is materialized.
+//
+// Cost contract: FromCsr validates its input in O(n + m) time with one extra
+// array of n cursors; no check is ever skipped, in any build type.
 #ifndef NUCLEUS_GRAPH_GRAPH_H_
 #define NUCLEUS_GRAPH_GRAPH_H_
 
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "nucleus/util/common.h"
+#include "nucleus/util/status.h"
 
 namespace nucleus {
 
@@ -20,10 +24,8 @@ class Graph {
   /// Empty graph.
   Graph() : offsets_(1, 0) {}
 
-  /// Takes ownership of a CSR structure. Requirements (checked):
-  /// offsets is monotone with offsets.front() == 0 and offsets.back() ==
-  /// adj.size(); every adjacency list is strictly increasing (sorted, no
-  /// duplicates, no self-loops); the structure is symmetric.
+  /// Takes ownership of a CSR structure. Aborts unless ValidateCsr accepts
+  /// it.
   static Graph FromCsr(std::vector<std::int64_t> offsets,
                        std::vector<VertexId> adj);
 
@@ -73,6 +75,15 @@ class Graph {
   std::vector<std::int64_t> offsets_;  // size NumVertices() + 1
   std::vector<VertexId> adj_;          // size 2 * NumEdges()
 };
+
+/// Checks that (offsets, adj) is a valid CSR for Graph::FromCsr: offsets is
+/// non-empty and monotone with offsets.front() == 0 and offsets.back() ==
+/// adj.size(); every id is in [0, n); every adjacency list is strictly
+/// increasing (sorted, no duplicates, no self-loops); and the structure is
+/// symmetric. O(n + m) time, O(n) extra space. The message names the first
+/// violated rule ("self-loop", "strictly increasing", "not symmetric", ...).
+Status ValidateCsr(std::span<const std::int64_t> offsets,
+                   std::span<const VertexId> adj);
 
 }  // namespace nucleus
 

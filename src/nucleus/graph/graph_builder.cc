@@ -23,28 +23,37 @@ void GraphBuilder::EnsureVertex(VertexId v) {
 }
 
 Graph GraphBuilder::Build() const {
-  std::vector<std::pair<VertexId, VertexId>> edges = edges_;
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
+  // Counting CSR: degree count, scatter both orientations of every recorded
+  // pair, then sort each list and drop its duplicates, compacting the lists
+  // leftwards in place.
   const VertexId n = num_vertices_;
-  std::vector<std::int64_t> offsets(n + 1, 0);
-  for (const auto& [u, v] : edges) {
+  std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [u, v] : edges_) {
     ++offsets[u + 1];
     ++offsets[v + 1];
   }
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<VertexId> adj(offsets[n]);
-  std::vector<std::int64_t> fill(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges) {
-    adj[fill[u]++] = v;
-    adj[fill[v]++] = u;
+  std::vector<VertexId> adj(static_cast<std::size_t>(offsets[n]));
+  {
+    std::vector<std::int64_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const auto& [u, v] : edges_) {
+      adj[fill[u]++] = v;
+      adj[fill[v]++] = u;
+    }
   }
-  // Canonical-(u,v)-sorted insertion yields ascending "v" entries per list,
-  // but the mixed u/v insertions need a per-list sort.
+  std::int64_t out = 0;
   for (VertexId v = 0; v < n; ++v) {
-    std::sort(adj.begin() + offsets[v], adj.begin() + offsets[v + 1]);
+    const auto begin = adj.begin() + offsets[v];
+    const auto end = adj.begin() + offsets[v + 1];
+    std::sort(begin, end);
+    const auto unique_end = std::unique(begin, end);
+    if (out != offsets[v]) std::copy(begin, unique_end, adj.begin() + out);
+    offsets[v] = out;
+    out += unique_end - begin;
   }
+  offsets[n] = out;
+  adj.resize(static_cast<std::size_t>(out));
+  adj.shrink_to_fit();
   return Graph::FromCsr(std::move(offsets), std::move(adj));
 }
 

@@ -2,6 +2,12 @@
 // drops self-loops and duplicate/reversed edges, sorts adjacency lists, and
 // produces a symmetric CSR. Also provides structural combinators used by the
 // generators and tests.
+//
+// Cost contract: AddEdge is amortized O(1) and stores one 8-byte pair per
+// call (duplicates included). Build() is a counting CSR build: O(n + p)
+// time plus a sort of each adjacency list, for p recorded pairs, and it
+// allocates only the output arrays and one array of n fill cursors; the
+// recorded pairs are never copied or globally sorted.
 #ifndef NUCLEUS_GRAPH_GRAPH_BUILDER_H_
 #define NUCLEUS_GRAPH_GRAPH_BUILDER_H_
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -81,6 +82,10 @@ TEST(Cli, DecomposeDefaultCoreFnd) {
   EXPECT_NE(r.out.find("(1,2) k-core"), std::string::npos);
   EXPECT_NE(r.out.find("algorithm: FND"), std::string::npos);
   EXPECT_NE(r.out.find("max lambda: 5"), std::string::npos);
+  // The edge-list read time gets its own line, after "graph:".
+  EXPECT_TRUE(std::regex_search(
+      r.out, std::regex("graph: [^\n]*\nload: [0-9.e+-]+s\n")))
+      << r.out;
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,11 @@
 #include "nucleus/graph/edge_list_io.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,11 +15,42 @@
 namespace nucleus {
 namespace {
 
+using testing_util::CsrOffsets;
+using testing_util::GraphCase;
+using testing_util::GraphZoo;
 using testing_util::TempPath;
 
 void WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   out << content;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Appends the path edges "v v+1" for v = *next, *next + 1, ... and then one
+// '#' comment line as padding, so that `text` ends exactly at byte `bytes`.
+// Returns the number of lines appended.
+std::int64_t AppendPathLinesTo(std::string* text, std::size_t bytes,
+                               VertexId* next) {
+  std::int64_t lines = 0;
+  for (; text->size() + 40 < bytes; ++*next, ++lines) {
+    *text += std::to_string(*next) + " " + std::to_string(*next + 1) + "\n";
+  }
+  *text += "#" + std::string(bytes - text->size() - 2, 'p') + "\n";
+  return lines + 1;
+}
+
+// True iff g is exactly the path 0 - 1 - ... - edges.
+bool IsPath(const Graph& g, VertexId edges) {
+  if (g.NumVertices() != edges + 1 || g.NumEdges() != edges) return false;
+  for (VertexId v = 0; v < edges; ++v) {
+    if (!g.HasEdge(v, v + 1)) return false;
+  }
+  return true;
 }
 
 TEST(ParseEdgeList, BasicEdges) {
@@ -132,12 +166,253 @@ TEST(ReadMatrixMarket, RejectsZeroIndex) {
   std::remove(path.c_str());
 }
 
+TEST(ReadMatrixMarket, ZeroIndexNamesItsFileLine) {
+  const std::string path = TempPath("zeroidx_line.mtx");
+  WriteFile(path,
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "% comment\n"
+            "3 3 2\n"
+            "1 2\n"
+            "2 0\n");
+  const auto g = ReadMatrixMarket(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.status().message(), "MatrixMarket index 0 at line 5");
+}
+
+TEST(ReadMatrixMarket, RealValuesAreIgnored) {
+  const std::string path = TempPath("real.mtx");
+  WriteFile(path,
+            "%%MatrixMarket matrix coordinate real symmetric\r\n"
+            "3 3 3\r\n"
+            "1 2 0.5\r\n"
+            "2 3 -1.25e3\r\n"
+            "3 1 7");
+  const auto g = ReadMatrixMarket(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumVertices(), 3);
+  EXPECT_EQ(g->NumEdges(), 3);
+}
+
+TEST(ReadMatrixMarket, EmptyFileIsMissingHeader) {
+  const std::string path = TempPath("empty.mtx");
+  WriteFile(path, "");
+  const auto g = ReadMatrixMarket(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(g.status().message().find("header"), std::string::npos);
+}
+
+TEST(ReadMatrixMarket, IdOverLimitIsOutOfRange) {
+  const std::string path = TempPath("big.mtx");
+  WriteFile(path,
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "1 1 1\n"
+            "2147483648 1\n");
+  const auto g = ReadMatrixMarket(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(g.status().message(), "vertex id exceeds 2^31-2 at line 3");
+}
+
 TEST(ReadMatrixMarket, RejectsNonCoordinate) {
   const std::string path = TempPath("dense.mtx");
   WriteFile(path, "%%MatrixMarket matrix array real general\n1 1\n0.5\n");
   const auto g = ReadMatrixMarket(path);
   ASSERT_FALSE(g.ok());
   std::remove(path.c_str());
+}
+
+// A malformed line placed at every offset around the first chunk boundary
+// (ending just before it, cut by it, starting on it or just after it)
+// reports its own line number and text.
+TEST(ParseEdgeList, MalformedLineAtChunkBoundaryReportsExactLine) {
+  const std::string bad = "17 x9";
+  for (std::size_t bad_at = kEdgeListChunkBytes - 8;
+       bad_at <= kEdgeListChunkBytes + 1; ++bad_at) {
+    std::string text;
+    VertexId next = 0;
+    const std::int64_t good = AppendPathLinesTo(&text, bad_at, &next);
+    text += bad + "\n";
+    AppendPathLinesTo(&text, text.size() + 4096, &next);
+    const auto g = ParseEdgeList(text);
+    ASSERT_FALSE(g.ok()) << "bad line at byte " << bad_at;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(g.status().message(), "malformed edge at line " +
+                                        std::to_string(good + 1) + ": '" +
+                                        bad + "'")
+        << "bad line at byte " << bad_at;
+  }
+}
+
+// Valid lines cut by the chunk boundary at every offset parse exactly.
+TEST(ParseEdgeList, LinesCutByChunkBoundaryParseExactly) {
+  for (std::size_t pad = 2; pad < 16; ++pad) {
+    std::string text = "#" + std::string(pad - 2, 'p') + "\n";
+    VertexId next = 0;
+    AppendPathLinesTo(&text, kEdgeListChunkBytes + 64, &next);
+    const auto g = ParseEdgeList(text);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    EXPECT_TRUE(IsPath(*g, next)) << "padding " << pad;
+  }
+}
+
+TEST(ReadEdgeList, MalformedLineJustPastFirstChunkInLargeFile) {
+  std::string text;
+  VertexId next = 0;
+  const std::int64_t good =
+      AppendPathLinesTo(&text, kEdgeListChunkBytes + 3, &next);
+  text += "42 -7 trailing\n";
+  AppendPathLinesTo(&text, 2 * kEdgeListChunkBytes + 4096, &next);
+  const std::string path = TempPath("chunk_boundary.txt");
+  WriteFile(path, text);
+  const auto g = ReadEdgeList(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.status().message(), "malformed edge at line " +
+                                      std::to_string(good + 1) +
+                                      ": '42 -7 trailing'");
+}
+
+TEST(ReadEdgeList, FileOverTwoChunksParsesExactly) {
+  std::string text;
+  VertexId next = 0;
+  AppendPathLinesTo(&text, 2 * kEdgeListChunkBytes + 777, &next);
+  const std::string path = TempPath("large.txt");
+  WriteFile(path, text);
+  const auto g = ReadEdgeList(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_TRUE(IsPath(*g, next));
+}
+
+// Lines longer than a chunk force the buffer to grow; a 3-chunk comment and
+// an edge line padded past one chunk both parse, as do the lines around
+// them.
+TEST(ParseEdgeList, LinesLongerThanAChunkParse) {
+  std::string text = "0 1\n";
+  text += "#" + std::string(3 * kEdgeListChunkBytes, 'c') + "\n";
+  text += "5 6" + std::string(kEdgeListChunkBytes + 5, ' ') + "tail\n";
+  text += "1 2\n";
+  const auto g = ParseEdgeList(text);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumEdges(), 3);
+  EXPECT_TRUE(g->HasEdge(5, 6));
+  EXPECT_TRUE(g->HasEdge(1, 2));
+}
+
+TEST(ParseEdgeList, MalformedLineAfterALongLineKeepsItsNumber) {
+  std::string text = "0 1\n" + std::string(2 * kEdgeListChunkBytes, ' ') +
+                     "\n2 3\nbad\n";
+  const auto g = ParseEdgeList(text);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().message(), "malformed edge at line 4: 'bad'");
+}
+
+TEST(ParseEdgeList, CrlfLineEndings) {
+  const auto g = ParseEdgeList("# comment\r\n0 1\r\n\r\n1 2\r\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumVertices(), 3);
+  EXPECT_EQ(g->NumEdges(), 2);
+}
+
+TEST(ParseEdgeList, MissingFinalNewline) {
+  const auto g = ParseEdgeList("0 1\n1 2");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumVertices(), 3);
+  EXPECT_EQ(g->NumEdges(), 2);
+  const auto bad = ParseEdgeList("0 1\n1 x");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(), "malformed edge at line 2: '1 x'");
+}
+
+TEST(ParseEdgeList, TrailingTokensIgnored) {
+  const auto g = ParseEdgeList("0 1 0.75 extra\n1 2\t9\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumEdges(), 2);
+}
+
+TEST(ParseEdgeList, IdOverLimitIsOutOfRangeAtItsLine) {
+  const auto g = ParseEdgeList("0 1\n# c\n2147483647 0\n");
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(g.status().message(), "vertex id exceeds 2^31-2 at line 3");
+  const auto second = ParseEdgeList("3 2147483647\n");
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(second.status().message().find("line 1"), std::string::npos);
+}
+
+TEST(ReadEdgeList, DirectoryIsAnError) {
+  const std::string dir = TempPath("edge_list_dir");
+  std::filesystem::create_directories(dir);
+  const auto g = ReadEdgeList(dir);
+  std::filesystem::remove(dir);
+  ASSERT_FALSE(g.ok());
+  EXPECT_NE(g.status().message().find(dir), std::string::npos)
+      << g.status().ToString();
+}
+
+// WriteEdgeList then ReadEdgeList reproduces the CSR byte for byte (up to
+// trailing isolated vertices, which an edge list cannot name).
+class EdgeListZooTest : public ::testing::TestWithParam<GraphCase> {};
+
+TEST_P(EdgeListZooTest, WriteReadRoundTripsCsr) {
+  const Graph g = GetParam().make();
+  const std::string path = TempPath("zoo_roundtrip_" + GetParam().name);
+  ASSERT_TRUE(WriteEdgeList(g, path).ok());
+  const auto reread = ReadEdgeList(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  VertexId used = g.NumVertices();
+  while (used > 0 && g.Degree(used - 1) == 0) --used;
+  ASSERT_EQ(reread->NumVertices(), used);
+  std::vector<std::int64_t> expected = CsrOffsets(g);
+  expected.resize(static_cast<std::size_t>(used) + 1);
+  EXPECT_EQ(CsrOffsets(*reread), expected);
+  EXPECT_EQ(reread->AdjArray(), g.AdjArray());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, EdgeListZooTest, ::testing::ValuesIn(GraphZoo()),
+    [](const ::testing::TestParamInfo<GraphCase>& info) {
+      return info.param.name;
+    });
+
+TEST(WriteEdgeList, WritesOneCanonicalLinePerEdge) {
+  const Graph g =
+      GraphFromEdges(0, {{2, 0}, {1, 0}, {99999, 1000000}, {2, 1}});
+  const std::string path = TempPath("canonical.txt");
+  ASSERT_TRUE(WriteEdgeList(g, path).ok());
+  EXPECT_EQ(ReadFile(path), "0 1\n0 2\n1 2\n99999 1000000\n");
+  std::remove(path.c_str());
+}
+
+TEST(WriteEdgeList, OutputLargerThanAChunk) {
+  const Graph g = ErdosRenyiGnm(20000, 150000, 5);
+  const std::string path = TempPath("large_out.txt");
+  ASSERT_TRUE(WriteEdgeList(g, path).ok());
+  std::string expected;
+  g.ForEachEdge([&](VertexId u, VertexId v) {
+    expected += std::to_string(u) + " " + std::to_string(v) + "\n";
+  });
+  ASSERT_GT(expected.size(), kEdgeListChunkBytes);
+  EXPECT_EQ(ReadFile(path), expected);
+  std::remove(path.c_str());
+}
+
+// Buffered bytes reach the device only at close: a full device must fail
+// the call, not just a write.
+TEST(WriteEdgeList, FullDeviceIsError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(WriteEdgeList(Path(3), "/dev/full").ok());
+  EXPECT_FALSE(
+      WriteEdgeList(ErdosRenyiGnm(20000, 150000, 5), "/dev/full").ok());
 }
 
 TEST(WriteEdgeList, UnwritablePathIsError) {

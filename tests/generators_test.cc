@@ -1,8 +1,16 @@
 #include "nucleus/graph/generators.h"
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "nucleus/graph/graph_builder.h"
 #include "nucleus/graph/graph_stats.h"
+#include "test_util.h"
 
 namespace nucleus {
 namespace {
@@ -161,6 +169,60 @@ TEST(Generators, WithRandomEdgesGrowsEdgeSet) {
   EXPECT_GT(grown.NumEdges(), base.NumEdges());
   EXPECT_EQ(grown.NumVertices(), base.NumVertices());
 }
+
+// GraphBuilder::Build against a std::set reference: the zoo's edges fed in
+// shuffled, in random orientation, with duplicates and self-loops mixed in,
+// must give exactly the offsets and adjacency of the set's sorted pairs.
+class BuilderDifferentialTest
+    : public ::testing::TestWithParam<testing_util::GraphCase> {};
+
+TEST_P(BuilderDifferentialTest, BuildMatchesSetReference) {
+  const Graph g = GetParam().make();
+  const VertexId n = g.NumVertices();
+  std::mt19937_64 rng(std::hash<std::string>{}(GetParam().name));
+  std::vector<std::pair<VertexId, VertexId>> raw;
+  g.ForEachEdge([&](VertexId u, VertexId v) {
+    const int copies = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < copies; ++k) {
+      raw.push_back(rng() % 2 == 0 ? std::make_pair(u, v)
+                                   : std::make_pair(v, u));
+    }
+  });
+  for (VertexId k = 0; n > 0 && k < n / 3 + 1; ++k) {
+    const VertexId v = static_cast<VertexId>(rng() % n);
+    raw.emplace_back(v, v);
+  }
+  std::shuffle(raw.begin(), raw.end(), rng);
+
+  std::set<std::pair<VertexId, VertexId>> pairs;
+  for (const auto& [u, v] : raw) {
+    if (u == v) continue;
+    pairs.emplace(u, v);
+    pairs.emplace(v, u);
+  }
+  std::vector<std::int64_t> want_offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> want_adj;
+  for (const auto& [u, v] : pairs) {
+    ++want_offsets[u + 1];
+    want_adj.push_back(v);
+  }
+  for (VertexId v = 0; v < n; ++v) want_offsets[v + 1] += want_offsets[v];
+
+  GraphBuilder builder(n);
+  builder.AddEdges(raw);
+  const Graph built = builder.Build();
+  ASSERT_EQ(built.NumVertices(), n);
+  EXPECT_EQ(testing_util::CsrOffsets(built), want_offsets);
+  EXPECT_EQ(built.AdjArray(), want_adj);
+  EXPECT_EQ(built.AdjArray(), g.AdjArray());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, BuilderDifferentialTest,
+    ::testing::ValuesIn(testing_util::GraphZoo()),
+    [](const ::testing::TestParamInfo<testing_util::GraphCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace nucleus

@@ -40,6 +40,17 @@ inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
+/// g's CSR offsets array: NumVertices() + 1 entries, the last the adjacency
+/// size.
+inline std::vector<std::int64_t> CsrOffsets(const Graph& g) {
+  std::vector<std::int64_t> offsets;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    offsets.push_back(g.AdjOffset(v));
+  }
+  offsets.push_back(static_cast<std::int64_t>(g.AdjArray().size()));
+  return offsets;
+}
+
 // ---------------------------------------------------------------------------
 // v1 snapshot fixtures (tests/data/v1, see the README there): the only v1
 // bytes left now that nothing writes the format. `name` is the file stem,
