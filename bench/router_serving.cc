@@ -55,7 +55,6 @@
 #include "nucleus/bench/datasets.h"
 #include "nucleus/bench/table.h"
 #include "nucleus/core/decomposition.h"
-#include "nucleus/obs/metrics.h"
 #include "nucleus/serve/net/tcp_server.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/router/router.h"
@@ -368,14 +367,12 @@ void Run(const Options& options) {
     }
   }
 
-  obs::MetricsRegistry router_metrics;
   TenantRouterOptions router_options;
   router_options.backends = {
       "127.0.0.1:" + std::to_string(backend_a.port()),
       "127.0.0.1:" + std::to_string(backend_b.port())};
   router_options.max_inflight = backend_inflight;
   router_options.health_interval_ms = 0;  // loopback; nothing to probe
-  router_options.metrics = &router_metrics;
   TenantRouter router(router_options);
   if (Status s = router.Start(); !s.ok()) {
     std::cerr << "error: " << s.ToString() << "\n";
@@ -471,9 +468,7 @@ void Run(const Options& options) {
   // The workload must have been admitted whole: a reject anywhere means
   // the caps above are mis-sized and the byte-compare only passed by
   // luck.
-  const std::int64_t rejected =
-      router_metrics.GetCounter("nucleus_router_lines_rejected_total")
-          ->Value();
+  const std::int64_t rejected = router.Stats().lines_rejected;
   if (rejected != 0) {
     std::cerr << "error: router rejected " << rejected
               << " line(s) the bench expected to admit\n";

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -893,31 +894,27 @@ extern "C" void HandleDrainSignal(int /*signum*/) {
   if (server != nullptr) server->RequestDrain();
 }
 
-/// Runs the TCP serving tier over an already-resolved session surface:
-/// binds, announces the bound endpoint on stdout (so a pipeline can parse
-/// the ephemeral port), then blocks until the server drains — via a
-/// client's `shutdown` verb or SIGINT/SIGTERM.
-int RunTcpServe(const ServeSessionResolver& resolver,
-                SnapshotRegistry* registry, const TcpServerOptions& options,
-                int metrics_port, std::ostream& out, std::ostream& err) {
-  TcpServer server(resolver, registry, options);
-  if (Status s = server.Start(); !s.ok()) {
-    err << "error: " << s.ToString() << "\n";
-    return 1;
-  }
-  // Optional Prometheus scrape endpoint next to the protocol port. The
-  // render refreshes the registry-level gauges (resident/mapped bytes,
-  // cache hit ratios) on every scrape, so a scraper never reads stale
-  // gauges even if no `metrics` verb ever runs.
+/// Serves a started TCP front until it drains (a client's `shutdown` or
+/// SIGINT/SIGTERM): starts the optional Prometheus endpoint
+/// (`metrics_port` < 0 = none), whose scrapes export the server's and
+/// then `publish`'s numbers; writes `banner` to `err`; announces the
+/// bound endpoints on stdout so a pipeline can parse an ephemeral port.
+/// Returns 1 (server stopped) if the endpoint cannot start, else 0.
+int ServeUntilDrained(TcpServer& server, const std::string& host,
+                      int metrics_port,
+                      std::function<void(obs::MetricsRegistry&)> publish,
+                      const std::string& banner, std::ostream& out,
+                      std::ostream& err) {
   std::unique_ptr<obs::MetricsExpositionServer> exposition;
   if (metrics_port >= 0) {
     obs::MetricsExpositionServer::Options mopt;
-    mopt.host = options.host;
+    mopt.host = host;
     mopt.port = metrics_port;
     exposition = std::make_unique<obs::MetricsExpositionServer>(
-        [registry] {
+        [&server, publish = std::move(publish)] {
           obs::MetricsRegistry& m = obs::MetricsRegistry::Global();
-          if (registry != nullptr) PublishRegistryMetrics(*registry, m);
+          server.PublishMetrics(m);
+          if (publish) publish(m);
           return m.ToPrometheusText();
         },
         mopt);
@@ -930,10 +927,10 @@ int RunTcpServe(const ServeSessionResolver& resolver,
   g_drain_target.store(&server, std::memory_order_release);
   std::signal(SIGINT, HandleDrainSignal);
   std::signal(SIGTERM, HandleDrainSignal);
-  out << "listening on " << options.host << ":" << server.port() << "\n";
+  err << banner;
+  out << "listening on " << host << ":" << server.port() << "\n";
   if (exposition != nullptr) {
-    out << "metrics on " << options.host << ":" << exposition->port()
-        << "\n";
+    out << "metrics on " << host << ":" << exposition->port() << "\n";
   }
   out.flush();
   server.Wait();
@@ -941,6 +938,25 @@ int RunTcpServe(const ServeSessionResolver& resolver,
   g_drain_target.store(nullptr, std::memory_order_release);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
+  return 0;
+}
+
+/// Runs the TCP serving tier over an already-resolved session surface.
+int RunTcpServe(const ServeSessionResolver& resolver,
+                SnapshotRegistry* registry, const TcpServerOptions& options,
+                int metrics_port, std::ostream& out, std::ostream& err) {
+  TcpServer server(resolver, registry, options);
+  if (Status s = server.Start(); !s.ok()) {
+    err << "error: " << s.ToString() << "\n";
+    return 1;
+  }
+  const int served = ServeUntilDrained(
+      server, options.host, metrics_port,
+      [registry](obs::MetricsRegistry& m) {
+        if (registry != nullptr) PublishRegistryMetrics(*registry, m);
+      },
+      "", out, err);
+  if (served != 0) return served;
   const TcpServerStats stats = server.Stats();
   err << "drained: " << stats.connections_accepted << " connection(s), "
       << stats.lines_admitted << " line(s) served, " << stats.lines_rejected
@@ -1466,49 +1482,23 @@ int CmdRoute(const ParsedArgs& parsed, std::ostream& out,
   tcp_options.queue_high_water = high_water;
   TcpServer server(router.HandlerFactory(), tcp_options);
   // Installed before Start: once the listener is up, a `stats` verb may
-  // read the hook from any worker.
-  router.set_server_stats_json([&server] { return server.StatsJson(); });
+  // read the server from any worker.
+  router.set_server(&server);
   if (Status s = server.Start(); !s.ok()) {
     err << "error: " << s.ToString() << "\n";
-    router.Stop();
-    return 1;
+    return 1;  // ~TenantRouter stops the router
   }
-  std::unique_ptr<obs::MetricsExpositionServer> exposition;
-  if (metrics_port >= 0) {
-    obs::MetricsExpositionServer::Options mopt;
-    mopt.host = tcp_options.host;
-    mopt.port = static_cast<int>(metrics_port);
-    exposition = std::make_unique<obs::MetricsExpositionServer>(
-        [] { return obs::MetricsRegistry::Global().ToPrometheusText(); },
-        mopt);
-    if (Status s = exposition->Start(); !s.ok()) {
-      err << "error: " << s.ToString() << "\n";
-      server.Stop();
-      router.Stop();
-      return 1;
-    }
-  }
-  g_drain_target.store(&server, std::memory_order_release);
-  std::signal(SIGINT, HandleDrainSignal);
-  std::signal(SIGTERM, HandleDrainSignal);
-  int up = 0;
-  for (int i = 0; i < router.num_backends(); ++i) {
-    if (router.backend_up(i)) ++up;
-  }
-  err << "routing to " << router.num_backends() << " backend(s) (" << up
-      << " up), pool " << pool << ", in-flight cap " << inflight << "\n";
-  out << "listening on " << tcp_options.host << ":" << server.port()
-      << "\n";
-  if (exposition != nullptr) {
-    out << "metrics on " << tcp_options.host << ":" << exposition->port()
-        << "\n";
-  }
-  out.flush();
-  server.Wait();
-  if (exposition != nullptr) exposition->Stop();
-  g_drain_target.store(nullptr, std::memory_order_release);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  const TenantRouterStats routing = router.Stats();
+  const std::string banner =
+      "routing to " + std::to_string(routing.backends) + " backend(s) (" +
+      std::to_string(routing.backends_up) + " up), pool " +
+      std::to_string(pool) + ", in-flight cap " + std::to_string(inflight) +
+      "\n";
+  const int served = ServeUntilDrained(
+      server, tcp_options.host, static_cast<int>(metrics_port),
+      [&router](obs::MetricsRegistry& m) { router.PublishMetrics(m); },
+      banner, out, err);
+  if (served != 0) return served;
   // Front first, then the backend connections: Stop() must not run while
   // handlers still forward.
   router.Stop();

@@ -24,10 +24,10 @@
 namespace nucleus {
 namespace obs {
 
-/// Process-wide kill switch consulted by every metric mutation. Flipping
-/// it off turns Increment/Set/Observe into a single relaxed load, which
-/// is what bench/network_serving uses to measure instrumentation
-/// overhead without rebuilding.
+/// Process-wide kill switch: off, every Increment/Set/Observe is one
+/// relaxed load and the serving tier skips its latency clock reads and
+/// scrape publication (bench/network_serving prices instrumentation so).
+/// It never stops a count its owner keeps (TcpServer, TenantRouter, ...).
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
@@ -37,6 +37,12 @@ class Counter {
   void Increment(std::int64_t n = 1) {
     if (!MetricsEnabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Scrape-time export of a total its owner keeps. A family is either
+  /// Increment()ed or Set(), never both.
+  void Set(std::int64_t total) {
+    if (!MetricsEnabled()) return;
+    value_.store(total, std::memory_order_relaxed);
   }
   std::int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 

@@ -168,40 +168,23 @@ TcpServer::TcpServer(ConnectionHandlerFactory factory,
                      TcpServerOptions options)
     : handler_factory_(std::move(factory)),
       options_(std::move(options)),
-      metrics_(options_.serve.metrics != nullptr
-                   ? options_.serve.metrics
-                   : &obs::MetricsRegistry::Global()),
-      m_accepted_(
-          metrics_->GetCounter("nucleus_tcp_connections_accepted_total")),
-      m_rejected_connections_(
-          metrics_->GetCounter("nucleus_tcp_connections_rejected_total")),
-      m_drained_(
-          metrics_->GetCounter("nucleus_tcp_connections_drained_total")),
-      m_accept_errors_(
-          metrics_->GetCounter("nucleus_tcp_accept_errors_total")),
-      m_lines_admitted_(
-          metrics_->GetCounter("nucleus_tcp_lines_admitted_total")),
-      m_lines_rejected_(
-          metrics_->GetCounter("nucleus_tcp_lines_rejected_total")),
-      m_oversized_lines_(
-          metrics_->GetCounter("nucleus_tcp_oversized_lines_total")),
-      m_open_(metrics_->GetGauge("nucleus_tcp_connections_open")),
-      m_queue_depth_(metrics_->GetGauge("nucleus_tcp_queue_depth")),
-      m_max_queue_depth_(metrics_->GetGauge("nucleus_tcp_max_queue_depth")),
-      m_queue_wait_(metrics_->GetHistogram("nucleus_tcp_queue_wait_us")) {}
+      queue_wait_((options_.serve.metrics != nullptr
+                       ? options_.serve.metrics
+                       : &obs::MetricsRegistry::Global())
+                      ->GetHistogram("nucleus_tcp_queue_wait_us")) {}
 
 TcpServer::TcpServer(ServeSessionResolver resolver,
                      SnapshotRegistry* registry, TcpServerOptions options)
     : TcpServer(ConnectionHandlerFactory(), std::move(options)) {
   // The factory is installed after delegation so it can capture `this`
-  // (for the live stats hook) — workers only read it after Start().
+  // (the sessions' server hook) — workers only read it after Start().
   auto shared_resolver =
       std::make_shared<ServeSessionResolver>(std::move(resolver));
   handler_factory_ =
       [this, shared_resolver,
        registry](std::ostream& out) -> std::unique_ptr<ConnectionHandler> {
     ServeOptions serve = options_.serve;
-    serve.server_stats_json = [this] { return StatsJson(); };
+    serve.server = this;
     return std::make_unique<RequestProcessorHandler>(*shared_resolver,
                                                      registry, out, serve);
   };
@@ -344,6 +327,27 @@ std::string TcpServer::StatsJson() const {
   return json;
 }
 
+void TcpServer::PublishMetrics(obs::MetricsRegistry& m) const {
+  const TcpServerStats stats = Stats();
+  m.GetCounter("nucleus_tcp_connections_accepted_total")
+      ->Set(stats.connections_accepted);
+  m.GetCounter("nucleus_tcp_connections_rejected_total")
+      ->Set(stats.connections_rejected);
+  m.GetCounter("nucleus_tcp_connections_drained_total")
+      ->Set(stats.connections_drained);
+  m.GetCounter("nucleus_tcp_accept_errors_total")->Set(stats.accept_errors);
+  m.GetCounter("nucleus_tcp_lines_admitted_total")->Set(stats.lines_admitted);
+  m.GetCounter("nucleus_tcp_lines_rejected_total")->Set(stats.lines_rejected);
+  m.GetCounter("nucleus_tcp_oversized_lines_total")
+      ->Set(stats.oversized_lines);
+  m.GetGauge("nucleus_tcp_connections_open")
+      ->Set(static_cast<double>(stats.connections_open));
+  m.GetGauge("nucleus_tcp_queue_depth")
+      ->Set(static_cast<double>(stats.queue_depth));
+  m.GetGauge("nucleus_tcp_max_queue_depth")
+      ->Set(static_cast<double>(stats.max_queue_depth));
+}
+
 void TcpServer::AcceptPending() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -362,7 +366,6 @@ void TcpServer::AcceptPending() {
       // beat to shed descriptors, and the still-pending connection
       // re-triggers the re-armed listener — the listener stays alive.
       accept_errors_.fetch_add(1, std::memory_order_relaxed);
-      m_accept_errors_->Increment();
       accept_backoff_until_ =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
       return;
@@ -377,7 +380,6 @@ void TcpServer::AcceptPending() {
           ::send(fd, error.data(), error.size(), MSG_NOSIGNAL);
       ::close(fd);
       rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_connections_->Increment();
       continue;
     }
     SetNonBlocking(fd);
@@ -386,10 +388,7 @@ void TcpServer::AcceptPending() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    const std::int64_t now_open =
-        open_.fetch_add(1, std::memory_order_relaxed) + 1;
-    m_accepted_->Increment();
-    m_open_->Set(static_cast<double>(now_open));
+    open_.fetch_add(1, std::memory_order_relaxed);
     Connection* raw = conn.get();
     conn->worker = std::thread(&TcpServer::WorkerLoop, this, raw);
     connections_.push_back(std::move(conn));
@@ -404,7 +403,6 @@ void TcpServer::AdmitLine(Connection& conn, std::string line) {
     // worker expands into per-line errors, so a firehose of rejected
     // lines costs O(1) memory.
     lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m_lines_rejected_->Increment();
     if (!conn.queue.empty() && conn.queue.back().kind ==
             Connection::Item::Kind::kReject &&
         conn.queue.back().overflow) {
@@ -435,16 +433,12 @@ void TcpServer::AdmitLine(Connection& conn, std::string line) {
     }
     conn.queue.push_back(std::move(item));
     ++conn.admitted_depth;
-    m_lines_admitted_->Increment();
     const std::int64_t depth =
         queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
     std::int64_t seen = max_queue_depth_.load(std::memory_order_relaxed);
     while (depth > seen && !max_queue_depth_.compare_exchange_weak(
                                seen, depth, std::memory_order_relaxed)) {
     }
-    m_queue_depth_->Set(static_cast<double>(depth));
-    m_max_queue_depth_->Set(static_cast<double>(
-        max_queue_depth_.load(std::memory_order_relaxed)));
   }
   conn.cv.notify_one();
 }
@@ -452,8 +446,6 @@ void TcpServer::AdmitLine(Connection& conn, std::string line) {
 void TcpServer::RejectOversized(Connection& conn) {
   oversized_lines_.fetch_add(1, std::memory_order_relaxed);
   lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-  m_oversized_lines_->Increment();
-  m_lines_rejected_->Increment();
   MutexLock lock(conn.mutex);
   Connection::Item item;
   item.kind = Connection::Item::Kind::kReject;
@@ -547,11 +539,9 @@ void TcpServer::WorkerLoop(Connection* conn) {
       // for every kLine leaving the queue — including ones discarded
       // below (post-shutdown, post-EOF) that are never processed.
       if (item.kind == Connection::Item::Kind::kLine) {
-        const std::int64_t depth =
-            queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
-        m_queue_depth_->Set(static_cast<double>(depth));
+        queue_depth_.fetch_sub(1, std::memory_order_relaxed);
         if (item.enqueued != std::chrono::steady_clock::time_point{}) {
-          m_queue_wait_->Observe(
+          queue_wait_->Observe(
               std::chrono::duration_cast<std::chrono::microseconds>(
                   std::chrono::steady_clock::now() - item.enqueued)
                   .count());
@@ -645,15 +635,10 @@ void TcpServer::PollLoop() {
           }
         }
         conn.queue.clear();
-        m_queue_depth_->Set(static_cast<double>(
-            queue_depth_.load(std::memory_order_relaxed)));
       }
       ::close(conn.fd);
-      const std::int64_t now_open =
-          open_.fetch_sub(1, std::memory_order_relaxed) - 1;
+      open_.fetch_sub(1, std::memory_order_relaxed);
       drained_.fetch_add(1, std::memory_order_relaxed);
-      m_open_->Set(static_cast<double>(now_open));
-      m_drained_->Increment();
       it = connections_.erase(it);
     }
 

@@ -28,13 +28,11 @@
 // the request-loop fuzz corpus). A connection that disconnects mid-line
 // has its partial final line served like std::getline would — as a line.
 //
-// The per-server counters surface through the `stats` admin verb (the
-// processor's server_stats_json hook) and through Stats(). They are also
-// mirrored into the obs metrics registry (nucleus_tcp_* families, plus a
-// queue-wait histogram timed from admission to worker dequeue) so a
-// scrape sees the same numbers `stats` reports — the atomics here stay
-// the source of truth; the mirror is last-writer-wins and updates only
-// while obs::MetricsEnabled().
+// The per-server counters are the atomics below, the only copy, counted
+// whether or not obs::MetricsEnabled(). `stats` reads them through
+// StatsJson(); a scrape exports them into the nucleus_tcp_* families
+// through PublishMetrics() just before it renders. Only the sampled
+// queue-wait histogram (admission to dequeue) is pushed as it happens.
 #ifndef NUCLEUS_SERVE_NET_TCP_SERVER_H_
 #define NUCLEUS_SERVE_NET_TCP_SERVER_H_
 
@@ -96,7 +94,7 @@ struct TcpServerOptions {
   /// up to its newline instead of being buffered.
   std::int64_t max_line_bytes = 1 << 20;
   /// Per-connection session options (threads, batch size). The server
-  /// installs its own server_stats_json hook.
+  /// installs itself as the sessions' `server` hook.
   ServeOptions serve;
 };
 
@@ -121,8 +119,8 @@ class TcpServer {
   /// `resolver` and `registry` have ServeResolvedRequests semantics and
   /// are shared by every connection (the registry and engines are
   /// thread-safe; each connection's protocol state is its own). Each
-  /// connection runs a RequestProcessor with the server's stats hook
-  /// installed.
+  /// connection runs a RequestProcessor with this server installed as
+  /// its `server` hook.
   TcpServer(ServeSessionResolver resolver, SnapshotRegistry* registry,
             TcpServerOptions options);
 
@@ -157,6 +155,9 @@ class TcpServer {
   TcpServerStats Stats() const;
   /// Stats() as a JSON object body, e.g. {"connections_open": 2, ...}.
   std::string StatsJson() const;
+  /// Writes Stats() into the nucleus_tcp_* counters and gauges of `m`.
+  /// Called at scrape time (the `metrics` verb, --metrics-port).
+  void PublishMetrics(obs::MetricsRegistry& m) const;
 
  private:
   struct Connection;
@@ -197,23 +198,8 @@ class TcpServer {
   std::atomic<std::int64_t> queue_depth_{0};
   std::atomic<std::int64_t> max_queue_depth_{0};
 
-  // Scrape mirror of the counters above, resolved once in the
-  // constructor (options_.serve.metrics, or the process registry).
-  // Gauges are Set() from the freshly updated atomic rather than
-  // Add()ed, so a mid-run kill-switch toggle can never leave them
-  // drifted from the source-of-truth atomics.
-  obs::MetricsRegistry* const metrics_;
-  obs::Counter* const m_accepted_;
-  obs::Counter* const m_rejected_connections_;
-  obs::Counter* const m_drained_;
-  obs::Counter* const m_accept_errors_;
-  obs::Counter* const m_lines_admitted_;
-  obs::Counter* const m_lines_rejected_;
-  obs::Counter* const m_oversized_lines_;
-  obs::Gauge* const m_open_;
-  obs::Gauge* const m_queue_depth_;
-  obs::Gauge* const m_max_queue_depth_;
-  obs::Histogram* const m_queue_wait_;  // sampled 1-in-8 admissions
+  // Sampled 1-in-8 admissions (see AdmitLine).
+  obs::Histogram* const queue_wait_;
 };
 
 }  // namespace nucleus

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "nucleus/io/hierarchy_export.h"
+#include "nucleus/serve/net/tcp_server.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/manifest.h"
 #include "nucleus/util/mutex.h"
@@ -482,9 +483,10 @@ Status RequestProcessor::ApplyUpdate(const std::string& tenant,
   return Status::Ok();
 }
 
-void RequestProcessor::PublishScrapeGauges() {
+void RequestProcessor::PublishScrapeMetrics() {
   if (!obs::MetricsEnabled()) return;
   if (registry_ != nullptr) PublishRegistryMetrics(*registry_, *metrics_);
+  if (options_.server != nullptr) options_.server->PublishMetrics(*metrics_);
 }
 
 void RequestProcessor::TraceInline(const char* verb,
@@ -512,11 +514,12 @@ Status RequestProcessor::RunAdmin(const RoutedServeLine& parsed) {
     return Status::Ok();
   }
   // `metrics` reads the process-wide registry, so it too works on every
-  // session shape. Per-tenant scrape gauges (resident/mapped bytes,
-  // cache hit ratio) are refreshed from the snapshot registry first.
+  // session shape. The counts and gauges whose owners keep them (the
+  // snapshot registry's per-tenant state, the TCP server's counters) are
+  // published into it first.
   if (parsed.admin == RoutedServeLine::Admin::kMetrics) {
     ++stats_.admin;
-    PublishScrapeGauges();
+    PublishScrapeMetrics();
     if (!parsed.admin_args.empty()) {
       // `metrics text`: the Prometheus exposition, carried inside the
       // one-JSON-object-per-line protocol as an escaped string.
@@ -643,8 +646,8 @@ Status RequestProcessor::RunAdmin(const RoutedServeLine& parsed) {
            << ", \"misses\": " << summary.detached_cache.misses
            << ", \"evictions\": " << summary.detached_cache.evictions
            << "}}";
-      if (options_.server_stats_json) {
-        out_ << ", \"server\": " << options_.server_stats_json();
+      if (options_.server != nullptr) {
+        out_ << ", \"server\": " << options_.server->StatsJson();
       }
       out_ << "}\n";
       return Status::Ok();

@@ -91,16 +91,16 @@
 namespace nucleus {
 
 class SnapshotRegistry;
+class TcpServer;
 
 struct ServeOptions {
   ParallelConfig parallel;
   /// Lines read before a batch is dispatched to the pool.
   std::int64_t batch_size = 256;
-  /// Extra per-server counters for the `stats` verb: when set, its return
-  /// (a JSON object body, e.g. `{"connections": 3}`) is embedded as the
-  /// response's "server" field. Installed by the TCP tier; unset on
-  /// stdio sessions, whose stats responses carry no "server" field.
-  std::function<std::string()> server_stats_json;
+  /// The TCP server running this session (non-owning; null on stdio):
+  /// `stats` embeds its StatsJson() as the "server" field, and `metrics`
+  /// publishes its counters before rendering.
+  const TcpServer* server = nullptr;
   /// Sampled JSON-lines trace sink (parse -> queue-wait -> execute ->
   /// flush per request line); null = no tracing. The TCP tier shares one
   /// log across every connection worker. Traces never touch the response
@@ -277,7 +277,7 @@ class RequestProcessor {
   StatusOr<std::size_t> GroupFor(const std::string& tenant);
   Status ApplyUpdate(const std::string& tenant, const EdgeEdit& edit);
   Status RunAdmin(const RoutedServeLine& parsed);
-  void PublishScrapeGauges();
+  void PublishScrapeMetrics();
   /// Records one span for a line answered inline (admin / update / the
   /// sequencing-point paths), where exec is the verb body itself.
   void TraceInline(const char* verb, const std::string& tenant, bool error,

@@ -308,15 +308,7 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::MakeCompletedSlot(
 TenantRouter::TenantRouter(TenantRouterOptions options)
     : options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &obs::MetricsRegistry::Global()),
-      m_forwarded_(
-          metrics_->GetCounter("nucleus_router_lines_forwarded_total")),
-      m_rejected_(
-          metrics_->GetCounter("nucleus_router_lines_rejected_total")),
-      m_failures_(
-          metrics_->GetCounter("nucleus_router_backend_failures_total")),
-      m_migrations_(metrics_->GetCounter("nucleus_router_migrations_total")),
-      m_backends_up_(metrics_->GetGauge("nucleus_router_backends_up")) {}
+                                           : &obs::MetricsRegistry::Global()) {}
 
 TenantRouter::~TenantRouter() { Stop(); }
 
@@ -523,7 +515,6 @@ void TenantRouter::ReaderLoop(Backend* backend, BackendConn* conn, int fd) {
   if (!stopping_.load(std::memory_order_acquire)) {
     backend->up.store(false, std::memory_order_release);
     backend_failures_.fetch_add(1, std::memory_order_relaxed);
-    m_failures_->Increment();
   }
 }
 
@@ -532,7 +523,6 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
     std::int64_t line_no) {
   if (!backend.up.load(std::memory_order_acquire)) {
     lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m_rejected_->Increment();
     return MakeCompletedSlot(
         line_no, ErrorLine("backend " + backend.address +
                                " is down (health check failed): "
@@ -541,7 +531,6 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
   }
   if (Status s = EnsureConnected(backend, conn); !s.ok()) {
     lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m_rejected_->Increment();
     return MakeCompletedSlot(line_no,
                              ErrorLine(JsonEscape(s.message()), line_no));
   }
@@ -552,7 +541,6 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
     MutexLock lock(conn.mutex);
     if (!conn.alive) {
       lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Increment();
       CompleteSlot(*slot, ErrorLine("backend " + backend.address +
                                         " connection lost: request rejected",
                                     line_no));
@@ -563,7 +551,6 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
       // The same admission discipline the TCP tier applies to its
       // queues: bound the buffer, reject with a structured error.
       lines_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Increment();
       CompleteSlot(*slot,
                    ErrorLine("backend " + backend.address +
                                  " in-flight limit (" +
@@ -593,7 +580,6 @@ std::shared_ptr<TenantRouter::Slot> TenantRouter::ForwardToConn(
     return slot;
   }
   lines_forwarded_.fetch_add(1, std::memory_order_relaxed);
-  m_forwarded_->Increment();
   return slot;
 }
 
@@ -634,13 +620,10 @@ void TenantRouter::TearBackendConns(Backend& backend) {
 }
 
 void TenantRouter::CheckBackendsNow() {
-  int up_count = 0;
   for (auto& backend : backends_) {
     const bool healthy = ProbeBackend(*backend);
     backend->up.store(healthy, std::memory_order_release);
-    if (healthy) {
-      ++up_count;
-    } else {
+    if (!healthy) {
       // A down backend may still hold forwarded-but-unanswered lines on
       // live connections (e.g. it wedged without closing). Tear them on
       // EVERY failed probe, not just the down transition: a forward can
@@ -649,7 +632,6 @@ void TenantRouter::CheckBackendsNow() {
       TearBackendConns(*backend);
     }
   }
-  m_backends_up_->Set(static_cast<double>(up_count));
 }
 
 void TenantRouter::ProberLoop() {
@@ -665,33 +647,52 @@ void TenantRouter::ProberLoop() {
   }
 }
 
-std::string TenantRouter::RouterStatsJson() const {
-  int up_count = 0;
-  std::int64_t inflight = 0;
+TenantRouterStats TenantRouter::Stats() const {
+  TenantRouterStats stats;
+  stats.backends = static_cast<std::int64_t>(backends_.size());
   for (const auto& backend : backends_) {
-    if (backend->up.load(std::memory_order_acquire)) ++up_count;
+    if (backend->up.load(std::memory_order_acquire)) ++stats.backends_up;
     for (const auto& conn : backend->conns) {
       MutexLock lock(conn->mutex);
-      inflight += static_cast<std::int64_t>(conn->fifo.size());
+      stats.inflight += static_cast<std::int64_t>(conn->fifo.size());
     }
   }
+  stats.pool_size = backends_.empty()
+                        ? options_.pool_size
+                        : static_cast<std::int64_t>(backends_[0]->conns.size());
+  stats.max_inflight = options_.max_inflight;
+  stats.lines_forwarded = lines_forwarded_.load(std::memory_order_relaxed);
+  stats.lines_rejected = lines_rejected_.load(std::memory_order_relaxed);
+  stats.backend_failures = backend_failures_.load(std::memory_order_relaxed);
+  stats.migrations = migrations_.load(std::memory_order_relaxed);
+  return stats;
+}
+
+void TenantRouter::PublishMetrics(obs::MetricsRegistry& m) const {
+  const TenantRouterStats stats = Stats();
+  m.GetCounter("nucleus_router_lines_forwarded_total")
+      ->Set(stats.lines_forwarded);
+  m.GetCounter("nucleus_router_lines_rejected_total")
+      ->Set(stats.lines_rejected);
+  m.GetCounter("nucleus_router_backend_failures_total")
+      ->Set(stats.backend_failures);
+  m.GetCounter("nucleus_router_migrations_total")->Set(stats.migrations);
+  m.GetGauge("nucleus_router_backends_up")
+      ->Set(static_cast<double>(stats.backends_up));
+}
+
+std::string TenantRouter::RouterStatsJson() const {
+  const TenantRouterStats stats = Stats();
   std::string json;
-  json += "\"backends\": " + std::to_string(backends_.size());
-  json += ", \"backends_up\": " + std::to_string(up_count);
-  json += ", \"pool_size\": " +
-          std::to_string(backends_.empty()
-                             ? options_.pool_size
-                             : static_cast<int>(backends_[0]->conns.size()));
-  json += ", \"max_inflight\": " + std::to_string(options_.max_inflight);
-  json += ", \"inflight\": " + std::to_string(inflight);
-  json += ", \"lines_forwarded\": " +
-          std::to_string(lines_forwarded_.load(std::memory_order_relaxed));
-  json += ", \"lines_rejected\": " +
-          std::to_string(lines_rejected_.load(std::memory_order_relaxed));
-  json += ", \"backend_failures\": " +
-          std::to_string(backend_failures_.load(std::memory_order_relaxed));
-  json += ", \"migrations\": " +
-          std::to_string(migrations_.load(std::memory_order_relaxed));
+  json += "\"backends\": " + std::to_string(stats.backends);
+  json += ", \"backends_up\": " + std::to_string(stats.backends_up);
+  json += ", \"pool_size\": " + std::to_string(stats.pool_size);
+  json += ", \"max_inflight\": " + std::to_string(stats.max_inflight);
+  json += ", \"inflight\": " + std::to_string(stats.inflight);
+  json += ", \"lines_forwarded\": " + std::to_string(stats.lines_forwarded);
+  json += ", \"lines_rejected\": " + std::to_string(stats.lines_rejected);
+  json += ", \"backend_failures\": " + std::to_string(stats.backend_failures);
+  json += ", \"migrations\": " + std::to_string(stats.migrations);
   return json;
 }
 
@@ -709,11 +710,12 @@ std::string TenantRouter::FanOutAdmin(const std::string& raw_line,
   std::string json = "{\"query\": \"" + query_name + "\"";
   if (query_name == "stats") {
     json += ", \"router\": {" + RouterStatsJson() + "}";
-    if (server_stats_json_) {
-      json += ", \"server\": " + server_stats_json_();
-    }
+    if (server_ != nullptr) json += ", \"server\": " + server_->StatsJson();
   } else if (query_name == "metrics") {
-    // The router's own registry, in the single-process metrics schema.
+    // The router's own registry, in the single-process metrics schema,
+    // after its owners publish into it.
+    PublishMetrics(*metrics_);
+    if (server_ != nullptr) server_->PublishMetrics(*metrics_);
     if (raw_line == "metrics text") {
       json += ", \"format\": \"text\", \"exposition\": \"" +
               JsonEscape(metrics_->ToPrometheusText()) + "\"";
@@ -881,7 +883,6 @@ std::string TenantRouter::Migrate(const std::string& tenant,
     specs_[tenant] = std::move(new_args);
   }
   migrations_.fetch_add(1, std::memory_order_relaxed);
-  m_migrations_->Increment();
   return "{\"query\": \"migrate\", \"tenant\": \"" + JsonEscape(tenant) +
          "\", \"from\": \"" + JsonEscape(src.address) + "\", \"to\": \"" +
          JsonEscape(dst.address) +

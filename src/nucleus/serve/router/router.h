@@ -35,14 +35,13 @@
 //     flips the route override. Applied updates survive the move.
 //   * merged observability: router-level `stats` / `metrics` / `tenants`
 //     embed each backend's own JSON response verbatim under a
-//     "backends" array next to the router's counters, and the router's
-//     counters live in the ordinary obs registry (nucleus_router_*).
+//     "backends" array next to the router's counters, which Stats() keeps
+//     once and a scrape exports (nucleus_router_*, PublishMetrics()).
 #ifndef NUCLEUS_SERVE_ROUTER_ROUTER_H_
 #define NUCLEUS_SERVE_ROUTER_ROUTER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -88,6 +87,20 @@ struct TenantRouterOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// Snapshot of the router's counters (the "router" object of the
+/// `stats` verb).
+struct TenantRouterStats {
+  std::int64_t backends = 0;
+  std::int64_t backends_up = 0;
+  std::int64_t pool_size = 0;
+  std::int64_t max_inflight = 0;
+  std::int64_t inflight = 0;  // forwarded, not yet answered
+  std::int64_t lines_forwarded = 0;
+  std::int64_t lines_rejected = 0;
+  std::int64_t backend_failures = 0;  // torn backend connections
+  std::int64_t migrations = 0;
+};
+
 class TenantRouter {
  public:
   explicit TenantRouter(TenantRouterOptions options);
@@ -110,11 +123,15 @@ class TenantRouter {
   /// TcpServer: TcpServer(router.HandlerFactory(), options).
   ConnectionHandlerFactory HandlerFactory();
 
-  /// Installs the front server's live stats hook, embedded as the
-  /// "server" field of the router-level `stats` response.
-  void set_server_stats_json(std::function<std::string()> hook) {
-    server_stats_json_ = std::move(hook);
-  }
+  /// Installs the front server (non-owning): its StatsJson() is the
+  /// "server" field of the router-level `stats` response, and the
+  /// router's `metrics` verb publishes its counters too.
+  void set_server(const TcpServer* server) { server_ = server; }
+
+  TenantRouterStats Stats() const;
+  /// Writes Stats() into the nucleus_router_* counters and gauge of `m`.
+  /// Called at scrape time (the `metrics` verb, --metrics-port).
+  void PublishMetrics(obs::MetricsRegistry& m) const;
 
   /// Deterministic routing decision for `tenant`, override table
   /// included.
@@ -193,7 +210,7 @@ class TenantRouter {
   std::unordered_map<std::string, std::vector<std::string>> specs_
       GUARDED_BY(route_mutex_);
 
-  std::function<std::string()> server_stats_json_;
+  const TcpServer* server_ = nullptr;
 
   std::thread prober_;
   int prober_wake_[2] = {-1, -1};  // self-pipe: Stop interrupts the nap
@@ -205,12 +222,8 @@ class TenantRouter {
   std::atomic<std::int64_t> backend_failures_{0};
   std::atomic<std::int64_t> migrations_{0};
 
+  /// Rendered by the router-level `metrics` verb.
   obs::MetricsRegistry* const metrics_;
-  obs::Counter* const m_forwarded_;
-  obs::Counter* const m_rejected_;
-  obs::Counter* const m_failures_;
-  obs::Counter* const m_migrations_;
-  obs::Gauge* const m_backends_up_;
 };
 
 }  // namespace nucleus

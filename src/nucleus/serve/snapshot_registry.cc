@@ -50,10 +50,10 @@ SnapshotRegistry::LoadResident(const SnapshotRegistry* self,
                                 .count();
     obs::MetricsRegistry& m = obs::MetricsRegistry::Global();
     m.GetHistogram("nucleus_registry_load_us", spec.name)->Observe(us);
-    m.GetCounter(result.ok() ? "nucleus_registry_loads_total"
-                             : "nucleus_registry_load_failures_total",
-                 spec.name)
-        ->Increment();
+    if (!result.ok()) {  // successes: TenantStats::loads owns them
+      m.GetCounter("nucleus_registry_load_failures_total", spec.name)
+          ->Increment();
+    }
   }
   return result;
 }
@@ -365,10 +365,9 @@ void SnapshotRegistry::EvictLocked() {
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - evict_start)
               .count();
-      obs::MetricsRegistry& m = obs::MetricsRegistry::Global();
-      m.GetCounter("nucleus_registry_evictions_total", *victim_name)
-          ->Increment();
-      m.GetHistogram("nucleus_registry_evict_us", *victim_name)->Observe(us);
+      obs::MetricsRegistry::Global()
+          .GetHistogram("nucleus_registry_evict_us", *victim_name)
+          ->Observe(us);
     }
   }
 }
@@ -506,6 +505,9 @@ void PublishRegistryMetrics(const SnapshotRegistry& registry,
   for (const std::string& name : registry.TenantNames()) {
     const StatusOr<TenantStats> stats = registry.Stats(name);
     if (!stats.ok()) continue;  // detached between calls
+    m.GetCounter("nucleus_registry_loads_total", name)->Set(stats->loads);
+    m.GetCounter("nucleus_registry_evictions_total", name)
+        ->Set(stats->evictions);
     m.GetGauge("nucleus_registry_resident_bytes", name)
         ->Set(static_cast<double>(stats->resident_bytes));
     m.GetGauge("nucleus_registry_mapped_bytes", name)

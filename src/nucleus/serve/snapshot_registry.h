@@ -147,11 +147,11 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// Publishes the registry's point-in-time per-tenant gauges into `m`:
-/// nucleus_registry_resident_bytes{tenant}, _mapped_bytes{tenant},
-/// nucleus_cache_hit_ratio{tenant}, plus the registry-wide tenant count
-/// and budget. Called at scrape time (the `metrics` verb and the
-/// --metrics-port exposition), not on the serving hot path.
+/// Publishes the registry's state into `m`: per tenant, TenantStats'
+/// loads and evictions (nucleus_registry_*_total), resident and mapped
+/// bytes and the member cache's hit ratio and bytes; registry-wide, the
+/// tenant count and budget. Called at scrape time (the `metrics` verb,
+/// --metrics-port), not on the serving hot path.
 void PublishRegistryMetrics(const SnapshotRegistry& registry,
                             obs::MetricsRegistry& m);
 

@@ -75,21 +75,26 @@ TEST(MetricsRegistry, KillSwitchFreezesEveryMetricType) {
   MetricsEnabledGuard guard;
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("c_total");
+  Counter* exported = registry.GetCounter("exported_total");
   Gauge* g = registry.GetGauge("g");
   Histogram* h = registry.GetHistogram("h_us");
   SetMetricsEnabled(false);
   c->Increment();
+  exported->Set(5);
   g->Set(7.0);
   g->Add(3.0);
   h->Observe(42);
   EXPECT_EQ(c->Value(), 0);
+  EXPECT_EQ(exported->Value(), 0);
   EXPECT_EQ(g->Value(), 0.0);
   EXPECT_EQ(h->Snap().count, 0);
   SetMetricsEnabled(true);
   c->Increment(2);
+  exported->Set(5);
   g->Set(7.0);
   h->Observe(42);
   EXPECT_EQ(c->Value(), 2);
+  EXPECT_EQ(exported->Value(), 5);
   EXPECT_EQ(g->Value(), 7.0);
   EXPECT_EQ(h->Snap().count, 1);
 }

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +40,7 @@
 namespace nucleus {
 namespace {
 
+using testing_util::JsonIntAfter;
 using testing_util::TempPath;
 
 int Dial(int port) {
@@ -137,11 +139,12 @@ struct RoutedFixture {
   std::unique_ptr<TenantRouter> router;
   std::unique_ptr<TcpServer> front;
 
-  explicit RoutedFixture(int health_interval_ms = 0) {
+  explicit RoutedFixture(int health_interval_ms = 0, int pool_size = 2) {
     backend_a = std::make_unique<BackendProcess>();
     backend_b = std::make_unique<BackendProcess>();
     TenantRouterOptions options;
     options.backends = {backend_a->address(), backend_b->address()};
+    options.pool_size = pool_size;
     options.health_interval_ms = health_interval_ms;
     options.health_timeout_ms = 2000;
     options.metrics = &metrics;
@@ -149,8 +152,7 @@ struct RoutedFixture {
     EXPECT_TRUE(router->Start().ok());
     front = std::make_unique<TcpServer>(router->HandlerFactory(),
                                         TcpServerOptions{});
-    router->set_server_stats_json(
-        [this] { return front->StatsJson(); });
+    router->set_server(front.get());
     EXPECT_TRUE(front->Start().ok());
   }
 
@@ -443,10 +445,7 @@ TEST(RouterFailover, DeadBackendFailsFastOnlyForItsTenants) {
   EXPECT_NE(responses[1].find("\"lambda\""), std::string::npos);
   EXPECT_NE(responses[2].find("\"error\""), std::string::npos);
   EXPECT_NE(responses[2].find("\"line\": 3"), std::string::npos);
-  EXPECT_GE(fix.metrics
-                .GetCounter("nucleus_router_lines_rejected_total")
-                ->Value(),
-            2);
+  EXPECT_GE(fix.router->Stats().lines_rejected, 2);
 
   // Re-admit: a fresh backend on the same port passes the next probe.
   // (Its registry is empty — the tenant must re-attach, as after any
@@ -550,12 +549,11 @@ TEST(RouterFailover, ProbeFailureFailsInFlightLinesOnWedgedBackend) {
     response = SendAndCollect(Dial(front.port()), "t0:lambda 1\n");
     answered.store(true, std::memory_order_release);
   });
-  obs::Counter* forwarded =
-      metrics.GetCounter("nucleus_router_lines_forwarded_total");
-  for (int spin = 0; spin < 500 && forwarded->Value() < 1; ++spin) {
+  for (int spin = 0; spin < 500 && router.Stats().lines_forwarded < 1;
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_EQ(forwarded->Value(), 1);
+  ASSERT_EQ(router.Stats().lines_forwarded, 1);
   EXPECT_FALSE(answered.load(std::memory_order_acquire));
 
   // The probe times out against the wedge, marks the backend down, and
@@ -622,9 +620,7 @@ TEST(RouterMigrate, DirtyLiveTenantKeepsAppliedUpdates) {
   EXPECT_EQ(fix.router->BackendIndexFor(tenant), 1);
   EXPECT_TRUE(fix.backend_b->registry.Stats(tenant).ok());
   EXPECT_FALSE(fix.backend_a->registry.Stats(tenant).ok());
-  EXPECT_EQ(
-      fix.metrics.GetCounter("nucleus_router_migrations_total")->Value(),
-      1);
+  EXPECT_EQ(fix.router->Stats().migrations, 1);
 }
 
 TEST(RouterMigrate, UnknownTargetAndUnattachedTenantAreStructuredErrors) {
@@ -737,15 +733,12 @@ TEST(RouterAdmission, InFlightCapRejectsStructurally) {
   const int fd = Dial(front.port());
   const std::string script = "t0:lambda 0\nt0:lambda 1\nt0:lambda 2\n";
   ASSERT_GT(::send(fd, script.data(), script.size(), MSG_NOSIGNAL), 0);
-  obs::Counter* rejected =
-      metrics.GetCounter("nucleus_router_lines_rejected_total");
-  for (int spin = 0; spin < 500 && rejected->Value() < 2; ++spin) {
+  for (int spin = 0; spin < 500 && router.Stats().lines_rejected < 2;
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(rejected->Value(), 2);
-  EXPECT_EQ(
-      metrics.GetCounter("nucleus_router_lines_forwarded_total")->Value(),
-      1);
+  EXPECT_EQ(router.Stats().lines_rejected, 2);
+  EXPECT_EQ(router.Stats().lines_forwarded, 1);
 
   // Unwedge the backend; the full ordered transcript now drains.
   release.store(true, std::memory_order_release);
@@ -810,6 +803,63 @@ TEST(RouterAdmin, MetricsMergesRouterRegistryAndBackends) {
   EXPECT_NE(responses[1].find("\"format\": \"text\""), std::string::npos)
       << responses[1];
   EXPECT_NE(responses[1].find("# TYPE"), std::string::npos);
+}
+
+// The router keeps each counter once and a scrape exports it, so after
+// rejects, a torn backend and a migration the router's `metrics` equals
+// its `stats` "router" object. A backends_up gauge written only by the
+// health prober would still scrape a backend lost to a torn connection
+// as up.
+TEST(RouterMetrics, MetricsVerbMatchesRouterStats) {
+  RoutedFixture fix(/*health_interval_ms=*/0, /*pool_size=*/1);
+  const std::vector<std::string> setup = SplitLines(fix.Session(
+      "attach t0 snapshot=" + SharedSnapshotPath() + "\n" +  // home: b
+      "attach t3 snapshot=" + SharedSnapshotPath() + "\n" +  // home: a
+      "migrate t3 " + fix.backend_b->address() + "\n"));
+  ASSERT_EQ(setup.size(), 3u);
+  for (const std::string& line : setup) {
+    EXPECT_NE(line.find("\"ok\": true"), std::string::npos) << line;
+  }
+
+  // Backend b goes away: its one pooled connection tears, which marks it
+  // down without a probe, and its tenants' lines are rejected.
+  fix.backend_b->server.Stop();
+  for (int spin = 0; spin < 500 && fix.router->Stats().backend_failures < 1;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(fix.router->backend_up(1));
+  const std::vector<std::string> rejected =
+      SplitLines(fix.Session("t0:lambda 1\nt3:lambda 1\nt3:top 2\n"));
+  ASSERT_EQ(rejected.size(), 3u);
+
+  const std::vector<std::string> responses =
+      SplitLines(fix.Session("stats\nmetrics\n"));
+  ASSERT_EQ(responses.size(), 2u);
+  const std::string& stats = responses[0];
+  const std::string& metrics = responses[1];
+  const std::size_t router = stats.find("\"router\": {");
+  ASSERT_NE(router, std::string::npos) << stats;
+  EXPECT_EQ(JsonIntAfter(stats, "\"backends_up\": ", router), 1);
+  EXPECT_EQ(JsonIntAfter(stats, "\"lines_rejected\": ", router), 3);
+  EXPECT_EQ(JsonIntAfter(stats, "\"backend_failures\": ", router), 1);
+  EXPECT_EQ(JsonIntAfter(stats, "\"migrations\": ", router), 1);
+  const std::pair<const char*, const char*> fields[] = {
+      {"backends_up", "nucleus_router_backends_up"},
+      {"lines_forwarded", "nucleus_router_lines_forwarded_total"},
+      {"lines_rejected", "nucleus_router_lines_rejected_total"},
+      {"backend_failures", "nucleus_router_backend_failures_total"},
+      {"migrations", "nucleus_router_migrations_total"},
+  };
+  for (const auto& [field, family] : fields) {
+    std::int64_t expected =
+        JsonIntAfter(stats, "\"" + std::string(field) + "\": ", router);
+    // `metrics` fans out to the one live backend after `stats` rendered.
+    if (std::string(field) == "lines_forwarded") ++expected;
+    EXPECT_EQ(JsonIntAfter(metrics, "\"" + std::string(family) + "\": {\"\": "),
+              expected)
+        << field;
+  }
 }
 
 TEST(RouterAdmin, TenantsFansOutToEveryBackend) {

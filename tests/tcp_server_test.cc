@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -27,12 +28,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nucleus/core/decomposition.h"
 #include "nucleus/graph/edge_list_io.h"
+#include "nucleus/obs/metrics.h"
 #include "nucleus/serve/request_loop.h"
 #include "nucleus/serve/snapshot_registry.h"
 #include "nucleus/store/snapshot.h"
@@ -42,6 +45,7 @@
 namespace nucleus {
 namespace {
 
+using testing_util::JsonIntAfter;
 using testing_util::TempPath;
 
 /// Blocking loopback dial; the server is already listening when tests
@@ -845,6 +849,185 @@ TEST(TcpServerLifecycle, SurvivesFdExhaustionAndRecovers) {
   EXPECT_NE(transcript.find("\"lambda\""), std::string::npos) << transcript;
   EXPECT_EQ(server.Stats().connections_accepted, 1);
   server.Stop();
+}
+
+// ---------------------------------------------------------------------
+// One owner per counter: the `metrics` verb exports the server's own
+// atomics at scrape time, so it agrees with the `stats` verb.
+// ---------------------------------------------------------------------
+
+void SendAll(int fd, const std::string& payload) {
+  ASSERT_EQ(::send(fd, payload.data(), payload.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(payload.size()));
+}
+
+/// Reads from `fd` until `count` whole response lines have arrived,
+/// leaving the connection open for the next exchange.
+std::vector<std::string> ReadLines(int fd, std::size_t count) {
+  std::string received;
+  char chunk[4096];
+  while (static_cast<std::size_t>(std::count(received.begin(), received.end(),
+                                             '\n')) < count) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  return SplitLines(received);
+}
+
+/// Asserts that a `metrics` response carries, for every nucleus_tcp_*
+/// counter and gauge, the value of the matching field of the `stats`
+/// response's "server" object. The `metrics` line was admitted after the
+/// `stats` response was written, so it adds exactly one admitted line.
+void ExpectMetricsMatchServerStats(const std::string& stats,
+                                   const std::string& metrics) {
+  const std::size_t server = stats.find("\"server\": {");
+  ASSERT_NE(server, std::string::npos) << stats;
+  const std::pair<const char*, const char*> fields[] = {
+      {"connections_accepted", "nucleus_tcp_connections_accepted_total"},
+      {"connections_rejected", "nucleus_tcp_connections_rejected_total"},
+      {"connections_drained", "nucleus_tcp_connections_drained_total"},
+      {"accept_errors", "nucleus_tcp_accept_errors_total"},
+      {"lines_admitted", "nucleus_tcp_lines_admitted_total"},
+      {"lines_rejected", "nucleus_tcp_lines_rejected_total"},
+      {"oversized_lines", "nucleus_tcp_oversized_lines_total"},
+      {"connections_open", "nucleus_tcp_connections_open"},
+      {"queue_depth", "nucleus_tcp_queue_depth"},
+      {"max_queue_depth", "nucleus_tcp_max_queue_depth"},
+  };
+  for (const auto& [field, family] : fields) {
+    std::int64_t expected =
+        JsonIntAfter(stats, "\"" + std::string(field) + "\": ", server);
+    if (std::string(field) == "lines_admitted") ++expected;
+    EXPECT_EQ(JsonIntAfter(metrics, "\"" + std::string(family) + "\": {\"\": "),
+              expected)
+        << field;
+  }
+}
+
+/// Restores the process-wide metrics kill switch on scope exit.
+struct MetricsEnabledGuard {
+  ~MetricsEnabledGuard() { obs::SetMetricsEnabled(true); }
+};
+
+// The counts must not depend on the kill switch: lines admitted and
+// rejected while metrics are off still show up in the next scrape. A
+// copy counted only while metrics are on would trail `stats` by them.
+TEST(TcpServerMetrics, KillSwitchNeverLosesCounts) {
+  MetricsEnabledGuard guard;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool armed = false;
+  bool entered = false;
+  bool released = false;
+  SnapshotRegistry registry;
+  const ServeSessionResolver registry_resolver =
+      MakeRegistryResolver(registry);
+  const ServeSessionResolver resolver =
+      [&](const std::string& tenant) -> StatusOr<ServeSession> {
+    {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      if (armed && !released) {
+        entered = true;
+        gate_cv.notify_all();
+        gate_cv.wait(lock, [&] { return released; });
+      }
+    }
+    return registry_resolver(tenant);
+  };
+
+  obs::MetricsRegistry metrics;
+  TcpServerOptions options;
+  options.queue_high_water = 4;
+  options.max_line_bytes = 1024;
+  options.serve.metrics = &metrics;
+  TcpServer server(resolver, &registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = Dial(server.port());
+
+  SendAll(fd, "lambda 0\nlambda 1\n");
+  ASSERT_EQ(ReadLines(fd, 2).size(), 2u);
+
+  obs::SetMetricsEnabled(false);
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    armed = true;
+  }
+  // Line 3 wedges the worker; of the next six, four fit under the high
+  // water mark and two are rejected, and the oversized line after them
+  // is rejected too.
+  SendAll(fd, "lambda 2\n");
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return entered; });
+  }
+  std::string burst;
+  for (int i = 0; i < 6; ++i) burst += "lambda " + std::to_string(i) + "\n";
+  burst += std::string(2000, 'x') + "\n";
+  SendAll(fd, burst);
+  for (int spin = 0; spin < 500 && server.Stats().lines_rejected < 3;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    released = true;
+    gate_cv.notify_all();
+  }
+  ASSERT_EQ(ReadLines(fd, 8).size(), 8u);
+  obs::SetMetricsEnabled(true);
+
+  SendAll(fd, "stats\n");
+  const std::vector<std::string> stats = ReadLines(fd, 1);
+  SendAll(fd, "metrics\n");
+  const std::vector<std::string> scraped = ReadLines(fd, 1);
+  ASSERT_EQ(stats.size(), 1u);
+  ASSERT_EQ(scraped.size(), 1u);
+  EXPECT_EQ(JsonIntAfter(stats[0], "\"lines_admitted\": "), 8);
+  EXPECT_EQ(JsonIntAfter(stats[0], "\"lines_rejected\": "), 3);
+  EXPECT_EQ(JsonIntAfter(stats[0], "\"oversized_lines\": "), 1);
+  ExpectMetricsMatchServerStats(stats[0], scraped[0]);
+  ::close(fd);
+  server.Stop();
+}
+
+// Two live servers on one registry: each server's scrape reports its own
+// counters, not a merge of both (and not whichever server wrote last).
+TEST(TcpServerMetrics, SharedRegistryReportsEachServersOwnCounts) {
+  SnapshotRegistry registry;
+  obs::MetricsRegistry shared;
+  TcpServerOptions options;
+  options.max_line_bytes = 1024;
+  options.serve.metrics = &shared;
+  TcpServer first(MakeRegistryResolver(registry), &registry, options);
+  TcpServer second(MakeRegistryResolver(registry), &registry, options);
+  ASSERT_TRUE(first.Start().ok());
+  ASSERT_TRUE(second.Start().ok());
+
+  const int first_fd = Dial(first.port());
+  const int second_fd = Dial(second.port());
+  SendAll(first_fd, "lambda 0\nlambda 1\n");
+  ASSERT_EQ(ReadLines(first_fd, 2).size(), 2u);
+  SendAll(second_fd, "lambda 0\nlambda 1\nlambda 2\nlambda 3\nlambda 4\n" +
+                         std::string(2000, 'x') + "\n");
+  ASSERT_EQ(ReadLines(second_fd, 6).size(), 6u);
+
+  for (const int fd : {first_fd, second_fd}) {
+    SendAll(fd, "stats\n");
+    const std::vector<std::string> stats = ReadLines(fd, 1);
+    SendAll(fd, "metrics\n");
+    const std::vector<std::string> scraped = ReadLines(fd, 1);
+    ASSERT_EQ(stats.size(), 1u);
+    ASSERT_EQ(scraped.size(), 1u);
+    EXPECT_EQ(JsonIntAfter(stats[0], "\"lines_admitted\": "),
+              fd == first_fd ? 3 : 6);
+    ExpectMetricsMatchServerStats(stats[0], scraped[0]);
+  }
+  ::close(first_fd);
+  ::close(second_fd);
+  first.Stop();
+  second.Stop();
 }
 
 }  // namespace

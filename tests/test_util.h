@@ -7,6 +7,7 @@
 #define NUCLEUS_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <ostream>
@@ -31,6 +32,19 @@
 
 namespace nucleus {
 namespace testing_util {
+
+// ---------------------------------------------------------------------------
+// The integer after `key` (e.g. `"lines_admitted": `) in a one-line JSON
+// response, searching from `from`. A missing key fails the test.
+// ---------------------------------------------------------------------------
+inline std::int64_t JsonIntAfter(const std::string& text,
+                                 const std::string& key,
+                                 std::size_t from = 0) {
+  const std::size_t at = text.find(key, from);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << text;
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
 
 // ---------------------------------------------------------------------------
 // TempDir()-based scratch path with a per-process prefix. Parallel ctest
