@@ -311,7 +311,8 @@ int CmdDecompose(const ParsedArgs& parsed, std::ostream& out,
   out << "time: " << result.timings.total_seconds << "s (index "
       << result.timings.index_seconds << ", peel "
       << result.timings.peel_seconds << ", post "
-      << result.timings.traverse_seconds << ")\n";
+      << result.timings.traverse_seconds << "), tree "
+      << result.timings.tree_seconds << "s\n";
 
   const HierarchyProfile profile = ProfileHierarchy(result.hierarchy);
   out << "hierarchy: depth " << profile.max_depth << ", leaves "

@@ -63,6 +63,12 @@ DecompositionResult RunOnSpace(const Space& space,
   const auto peel = [&] {
     return threaded ? PeelParallel(space, options.parallel) : Peel(space);
   };
+  const auto build_hierarchy = [&](const SkeletonBuild& build) {
+    Timer tree_timer;
+    result.hierarchy =
+        NucleusHierarchy::FromSkeleton(build, result.num_cliques);
+    result.timings.tree_seconds = tree_timer.Seconds();
+  };
 
   switch (options.algorithm) {
     case Algorithm::kNaive: {
@@ -89,10 +95,7 @@ DecompositionResult RunOnSpace(const Space& space,
       SkeletonBuild build = DfTraversal(space, result.peel);
       result.num_subnuclei = build.num_subnuclei;
       result.timings.traverse_seconds = timer.Seconds();
-      if (options.build_tree) {
-        result.hierarchy =
-            NucleusHierarchy::FromSkeleton(build, result.num_cliques);
-      }
+      if (options.build_tree) build_hierarchy(build);
       break;
     }
     case Algorithm::kFnd: {
@@ -105,10 +108,7 @@ DecompositionResult RunOnSpace(const Space& space,
       result.num_adj = fnd.num_adj;
       result.timings.peel_seconds = fnd.peel_seconds;
       result.timings.traverse_seconds = fnd.build_seconds;
-      if (options.build_tree) {
-        result.hierarchy =
-            NucleusHierarchy::FromSkeleton(fnd.build, result.num_cliques);
-      }
+      if (options.build_tree) build_hierarchy(fnd.build);
       break;
     }
     case Algorithm::kLcps: {
@@ -119,10 +119,7 @@ DecompositionResult RunOnSpace(const Space& space,
         SkeletonBuild build = LcpsKCoreHierarchy(space.graph(), result.peel);
         result.num_subnuclei = build.num_subnuclei;
         result.timings.traverse_seconds = timer.Seconds();
-        if (options.build_tree) {
-          result.hierarchy =
-              NucleusHierarchy::FromSkeleton(build, result.num_cliques);
-        }
+        if (options.build_tree) build_hierarchy(build);
       } else {
         NUCLEUS_CHECK_MSG(false, "LCPS is only defined for Family::kCore12");
       }

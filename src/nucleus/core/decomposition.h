@@ -46,8 +46,9 @@ struct DecomposeOptions {
   /// uses all hardware threads. With more than one resolved thread the
   /// peeling phase runs wave-parallel for every algorithm, and kFnd runs
   /// the fully parallel pipeline (FastNucleusDecompositionParallel). The
-  /// peel output is bit-identical to the serial run; the kFnd hierarchy is
-  /// canonically identical (see parallel/parallel_fnd.h).
+  /// peel output is bit-identical to the serial run, and so is the
+  /// hierarchy, node numbering included, for every algorithm (see
+  /// NucleusHierarchy::FromSkeleton and parallel/parallel_fnd.h).
   ParallelConfig parallel;
 };
 
@@ -56,6 +57,7 @@ struct PhaseTimings {
   double peel_seconds = 0.0;      // Alg. 1 (FND: extended peeling)
   double traverse_seconds = 0.0;  // traversal or BuildHierarchy phase
   double total_seconds = 0.0;     // index + peel + traverse
+  double tree_seconds = 0.0;      // FromSkeleton (build_tree), not in total
 };
 
 struct DecompositionResult {

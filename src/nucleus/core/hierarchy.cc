@@ -53,30 +53,36 @@ NucleusHierarchy NucleusHierarchy::FromSkeleton(const SkeletonBuild& build,
   for (std::int32_t i = 0; i < num_skel; ++i) {
     if (canon[i] == i && (direct_count[i] > 0 || i == root_rep)) keep[i] = 1;
   }
-  // Effective parent representative of a kept node.
-  auto kept_parent = [&](std::int32_t rep) {
-    std::int32_t p = skel.Parent(rep);
-    while (p != kInvalidId) {
-      const std::int32_t pr = canon[p];
-      if (keep[pr]) return pr;
-      p = skel.Parent(pr);
-    }
-    return kInvalidId;
-  };
+  // Effective parent representative of every kept node, recorded once.
+  std::vector<std::int32_t> kept_parent(num_skel, kInvalidId);
+  for (std::int32_t i = 0; i < num_skel; ++i) {
+    if (!keep[i] || i == root_rep) continue;
+    std::int32_t p = skel.Parent(i);
+    while (p != kInvalidId && !keep[canon[p]]) p = skel.Parent(canon[p]);
+    NUCLEUS_CHECK_MSG(p != kInvalidId, "kept node with no kept ancestor");
+    kept_parent[i] = canon[p];
+  }
 
-  // 4. Compact renumbering; parents get smaller ids than children so a
-  //    single forward/backward sweep can aggregate subtree data.
+  // 4. Canonical numbering: BFS from the root, siblings ordered by the
+  //    smallest clique id in their subtree. Subtrees are disjoint, so that
+  //    order is total and the ids depend on the nucleus set alone, not on
+  //    the algorithm that built the skeleton. Climbing from each clique in
+  //    ascending id order reaches every kept node first from its subtree
+  //    minimum, so appending nodes to their parent's list on first reach
+  //    yields sibling lists already in that order. Parents get smaller ids
+  //    than children, so one backward sweep aggregates subtree data.
   NucleusHierarchy h;
   std::vector<std::int32_t> compact(num_skel, kInvalidId);
   {
-    // BFS from the root over "kept children" relations. Build children-of
-    // lists lazily from kept_parent.
     std::vector<std::vector<std::int32_t>> kids(num_skel);
-    for (std::int32_t i = 0; i < num_skel; ++i) {
-      if (!keep[i] || i == root_rep) continue;
-      const std::int32_t p = kept_parent(i);
-      NUCLEUS_CHECK_MSG(p != kInvalidId, "kept node with no kept ancestor");
-      kids[p].push_back(i);
+    std::vector<char> reached(num_skel, 0);
+    for (std::int64_t u = 0; u < num_cliques; ++u) {
+      std::int32_t rep = canon[build.comp[u]];
+      while (rep != root_rep && !reached[rep]) {
+        reached[rep] = 1;
+        kids[kept_parent[rep]].push_back(rep);
+        rep = kept_parent[rep];
+      }
     }
     std::vector<std::int32_t> order{root_rep};
     for (std::size_t head = 0; head < order.size(); ++head) {
@@ -90,8 +96,7 @@ NucleusHierarchy NucleusHierarchy::FromSkeleton(const SkeletonBuild& build,
       const std::int32_t rep = order[i];
       Node& node = h.nodes_[i];
       node.lambda = skel.LambdaOf(rep);
-      node.parent =
-          rep == root_rep ? kInvalidId : compact[kept_parent(rep)];
+      node.parent = rep == root_rep ? kInvalidId : compact[kept_parent[rep]];
       if (node.parent != kInvalidId) {
         h.nodes_[node.parent].children.push_back(static_cast<std::int32_t>(i));
       }

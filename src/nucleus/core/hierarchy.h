@@ -39,7 +39,11 @@ class NucleusHierarchy {
   NucleusHierarchy() = default;
 
   /// Contracts a skeleton into the canonical tree. `num_cliques` is the
-  /// size of the K_r space (comp must assign every K_r).
+  /// size of the K_r space (comp must assign every K_r). Node ids are the
+  /// BFS order from the root with siblings ordered by the smallest clique
+  /// id in their subtree, so they depend on the nucleus set alone: every
+  /// algorithm and thread count yields the same ids. This is the one
+  /// place that assigns node ids.
   static NucleusHierarchy FromSkeleton(const SkeletonBuild& build,
                                        std::int64_t num_cliques);
 

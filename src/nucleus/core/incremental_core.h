@@ -22,7 +22,7 @@
 // is built on: ApplyEdits applies a whole edit stream and reports the
 // resulting lambda patch in structured form, and RebuildCoreHierarchy
 // turns the patched lambdas back into the exact (1,2) hierarchy a fresh
-// Algorithm::kDft decomposition of the edited graph would build.
+// decomposition of the edited graph would build.
 #ifndef NUCLEUS_CORE_INCREMENTAL_CORE_H_
 #define NUCLEUS_CORE_INCREMENTAL_CORE_H_
 
@@ -147,7 +147,8 @@ class IncrementalCoreMaintainer {
 /// The (1,2) hierarchy of `g` given its peeling result: DF-Traversal
 /// (Alg. 5/6) over the vertex space plus the FromSkeleton contraction —
 /// byte-identical (node numbering included) to the hierarchy
-/// Decompose(g, {kCore12, kDft}) builds, but without re-running the peel.
+/// Decompose(g, {kCore12, any algorithm}) builds, but without re-running
+/// the peel.
 /// This is the rebuild step of the incremental update path: the maintainer
 /// supplies the patched lambdas, this supplies the tree.
 NucleusHierarchy RebuildCoreHierarchy(const Graph& g, const PeelResult& peel);

@@ -27,8 +27,10 @@
 //
 // Relative to the serial FND the skeleton is already fully merged: nodes
 // are the maximal sub-nuclei T_{r,s} (DF-Traversal's count) rather than
-// the finer T*_{r,s}, and node ids follow the canonical order above rather
-// than pop order. The contracted NucleusHierarchy is identical.
+// the finer T*_{r,s}, and skeleton ids follow the canonical order above
+// rather than pop order. The contracted NucleusHierarchy is identical,
+// node numbering included (NucleusHierarchy::FromSkeleton numbers nodes
+// from the nucleus set alone).
 #ifndef NUCLEUS_PARALLEL_PARALLEL_FND_H_
 #define NUCLEUS_PARALLEL_PARALLEL_FND_H_
 
@@ -43,7 +45,7 @@ namespace nucleus {
 /// Parallel Alg. 8 + 9: peeling, sub-nucleus detection and hierarchy
 /// build, end to end. Output is identical for every config (thread count
 /// and grain); lambda is bit-identical to the serial Peel/FND, and the
-/// hierarchy is canonically equal to FastNucleusDecomposition's.
+/// hierarchy is identical to FastNucleusDecomposition's.
 template <typename Space>
 FndResult FastNucleusDecompositionParallel(const Space& space,
                                            const ParallelConfig& config = {});

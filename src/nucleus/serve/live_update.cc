@@ -35,17 +35,6 @@ StatusOr<std::unique_ptr<LiveUpdater>> LiveUpdater::Create(
         "live updates support (1,2) core snapshots only (the incremental "
         "maintainer updates the k-core space)");
   }
-  if (meta.algorithm != Algorithm::kDft) {
-    // The update path rebuilds hierarchies in DF-Traversal shape; adopting
-    // a snapshot built by another algorithm would silently renumber every
-    // hierarchy node id a client holds at the first applied update (kFnd
-    // numbering differs from kDft on sparse graphs).
-    return Status::InvalidArgument(
-        "live updates require an --algorithm dft (1,2) snapshot: the "
-        "update path maintains the DF-Traversal hierarchy shape, and "
-        "node ids of a snapshot built by another algorithm would not "
-        "survive the first update");
-  }
   if (meta.num_vertices != g.NumVertices() ||
       meta.num_cliques != g.NumVertices()) {
     return Status::InvalidArgument(
@@ -126,7 +115,7 @@ StatusOr<LiveUpdater::Result> LiveUpdater::Apply(
     return result;  // nothing to materialize or swap
   }
 
-  // Servable post-state: patched lambdas + the hierarchy a fresh kDft
+  // Servable post-state: patched lambdas + the hierarchy a fresh
   // decomposition of the edited graph would build. The one linear pass
   // here (CSR assembly + DF-Traversal) is the price of serving exact
   // answers immediately; the durable path above cost only O(touched).

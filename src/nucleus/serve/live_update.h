@@ -10,7 +10,7 @@
 //   * a DeltaData chain record (the durable form, store/delta.h), and
 //   * a materialized SnapshotData of the post-state (the servable form:
 //     patched lambdas + the rebuilt (1,2) hierarchy, byte-identical to a
-//     fresh Algorithm::kDft decomposition of the edited graph),
+//     fresh decomposition of the edited graph by any algorithm),
 //
 // leaving the caller to wire the pieces: QueryEngine::ApplyUpdate for
 // serving without a restart, SaveDelta / SaveSnapshotV2 for persistence.
@@ -45,20 +45,21 @@ class LiveUpdater {
     DeltaData delta;
     /// True iff the batch changed the graph (report.applied > 0).
     bool changed = false;
-    /// Post-state snapshot: (1,2), Algorithm::kDft, no index tables (the
-    /// engine or a later save builds them on demand). Only populated when
-    /// `changed` — an all-skipped batch leaves the served state as-is, so
-    /// there is nothing to swap in and the O(V+E) materialization is
-    /// skipped (idempotent replays stay O(edits)).
+    /// Post-state snapshot: (1,2), no index tables (the engine or a later
+    /// save builds them on demand); meta.algorithm is kDft, the traversal
+    /// that rebuilt the hierarchy. Only populated when `changed` — an
+    /// all-skipped batch leaves the served state as-is, so there is
+    /// nothing to swap in and the O(V+E) materialization is skipped
+    /// (idempotent replays stay O(edits)).
     SnapshotData snapshot;
   };
 
-  /// Validates that `snapshot` is the (1,2), Algorithm::kDft state of `g`
-  /// — family, algorithm, vertex / clique / edge counts and the graph
-  /// fingerprint must all match — and seeds the maintainer from the
-  /// snapshot's lambdas (no re-peel). kDft is required because that is
-  /// the hierarchy shape updates rebuild: any other algorithm's node ids
-  /// would not survive the first applied batch.
+  /// Validates that `snapshot` is the (1,2) state of `g` — family,
+  /// vertex / clique / edge counts and the graph fingerprint must all
+  /// match — and seeds the maintainer from the snapshot's lambdas (no
+  /// re-peel). Any building algorithm is accepted: node ids are canonical
+  /// (NucleusHierarchy::FromSkeleton), so each post-state numbers nodes
+  /// exactly as a fresh decomposition of the edited graph would.
   /// `link` continues an existing chain (the ChainLink ResolveChain
   /// returned); without it the snapshot is treated as a chain base.
   /// `g` is copied into the maintainer's adjacency; it need not outlive

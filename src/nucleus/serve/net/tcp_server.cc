@@ -372,14 +372,15 @@ void TcpServer::AcceptPending() {
     }
     if (open_.load(std::memory_order_relaxed) >= options_.max_connections) {
       // Over the connection cap: one structured error, then close. The
-      // client gets a parseable reason instead of a silent RST.
+      // client gets a parseable reason instead of a silent RST. Counted
+      // first, so a client that has read the refusal finds it in Stats().
+      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
       const std::string error =
           "{\"error\": \"server at connection limit (" +
           std::to_string(options_.max_connections) + ")\"}\n";
       [[maybe_unused]] const ssize_t n =
           ::send(fd, error.data(), error.size(), MSG_NOSIGNAL);
       ::close(fd);
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     SetNonBlocking(fd);

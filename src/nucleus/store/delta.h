@@ -14,7 +14,7 @@
 // final graph: the base lambdas are patched record by record, and the
 // (1,2) hierarchy of the final state is rebuilt in one DF-Traversal pass
 // (RebuildCoreHierarchy) — byte-identical, node numbering included, to a
-// fresh Algorithm::kDft decomposition of the edited graph. Persisting a
+// fresh decomposition of the edited graph by any algorithm. Persisting a
 // batch therefore costs O(touched region), not O(graph): the one linear
 // pass is deferred to chain resolution, where it is paid once per restart
 // instead of once per batch (bench/incremental_update prices both sides).
@@ -29,8 +29,8 @@
 //     bytes   8..11   format version (uint32, currently 1)
 //     bytes  12..15   flags (uint32, must be 0)
 //     bytes  16..19   family (int32, must be Family::kCore12)
-//     bytes  20..23   algorithm (int32, must be Algorithm::kDft — the
-//                     algorithm whose hierarchy chain resolution reproduces)
+//     bytes  20..23   algorithm (int32, must be Algorithm::kDft — a legacy
+//                     constant: node numbering does not depend on it)
 //     bytes  24..27   |V| (int32, fixed along the whole chain)
 //     bytes  28..31   max lambda after the batch (int32)
 //     bytes  32..39   |E| before the batch (int64)
@@ -134,8 +134,9 @@ struct ChainLink {
 /// carry the base's fingerprint and |V|; consecutive records must agree on
 /// fingerprints and edge counts; the leaf must match `graph`. The returned
 /// SnapshotData carries the patched lambdas, the rebuilt hierarchy
-/// (Algorithm::kDft shape) and meta refreshed for `graph`; `link` (if
-/// non-null) receives the chain endpoint for a continuing LiveUpdater.
+/// (canonical numbering, meta.algorithm kDft) and meta refreshed for
+/// `graph`; `link` (if non-null) receives the chain endpoint for a
+/// continuing LiveUpdater.
 StatusOr<SnapshotData> ResolveChain(const std::vector<std::string>& paths,
                                     const Graph& graph,
                                     ChainLink* link = nullptr);

@@ -292,10 +292,23 @@ StatusOr<SnapshotData> LoadSnapshot(const std::string& path) {
     }
   }
 
+  // v1 files predate the canonical node numbering, so the validated tree
+  // goes back through FromSkeleton (a skeleton with no equal-lambda links
+  // contracts to itself) and comes out canonically renumbered; jump tables
+  // the file carried describe the old ids and are rebuilt.
   snapshot.peel.max_lambda = header.max_lambda;
-  snapshot.hierarchy = NucleusHierarchy::FromParts(
-      std::move(node_lambda), std::move(node_parent),
-      std::move(node_of_clique));
+  SkeletonBuild build;
+  for (std::int32_t i = 0; i < header.num_nodes; ++i) {
+    build.skeleton.AddNode(node_lambda[i]);
+    if (i > 0) build.skeleton.SetParent(i, node_parent[i]);
+  }
+  build.comp = std::move(node_of_clique);
+  build.root_id = 0;
+  snapshot.hierarchy =
+      NucleusHierarchy::FromSkeleton(build, header.num_cliques);
+  if (snapshot.has_index) {
+    snapshot.index_tables = HierarchyIndex(snapshot.hierarchy).Tables();
+  }
   return snapshot;
 }
 

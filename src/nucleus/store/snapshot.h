@@ -85,7 +85,10 @@ SnapshotData MakeSnapshot(const Graph& g, const DecomposeOptions& options,
 /// single-allocation bulk array reads, checksum verification, then full
 /// structural validation of the tree and (if present) the jump tables.
 /// Every corruption mode returns a Status; `hierarchy` is rebuilt
-/// (NucleusHierarchy::FromParts). A v1 file keeps its has_index flag.
+/// (NucleusHierarchy::FromParts for v2, which keeps the file's node ids).
+/// A v1 file is renumbered canonically (NucleusHierarchy::FromSkeleton)
+/// and keeps its has_index flag, with the jump tables rebuilt for the new
+/// ids.
 StatusOr<SnapshotData> LoadSnapshot(const std::string& path);
 
 /// Reads and validates only the header (either version) — a cheap probe

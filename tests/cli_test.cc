@@ -86,6 +86,10 @@ TEST(Cli, DecomposeDefaultCoreFnd) {
   EXPECT_TRUE(std::regex_search(
       r.out, std::regex("graph: [^\n]*\nload: [0-9.e+-]+s\n")))
       << r.out;
+  // The FromSkeleton contraction is timed next to, not inside, the total.
+  EXPECT_TRUE(std::regex_search(
+      r.out, std::regex("\ntime: [^\n]*\\), tree [0-9.e+-]+s\n")))
+      << r.out;
   std::remove(path.c_str());
 }
 

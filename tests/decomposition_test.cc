@@ -99,6 +99,23 @@ TEST(Decompose, IndexTimeOnlyForHigherOrders) {
   EXPECT_GE(Decompose(g, options).timings.index_seconds, 0.0);
 }
 
+TEST(Decompose, TreeTimeOnlyWithBuildTreeAndOutsideTotal) {
+  const Graph g = PlantedPartition(3, 10, 0.6, 0.1, 71);
+  DecomposeOptions options;
+  options.family = Family::kTruss23;
+  for (Algorithm algorithm : {Algorithm::kDft, Algorithm::kFnd}) {
+    options.algorithm = algorithm;
+    options.build_tree = true;
+    const PhaseTimings built = Decompose(g, options).timings;
+    EXPECT_GE(built.tree_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(built.total_seconds, built.index_seconds +
+                                              built.peel_seconds +
+                                              built.traverse_seconds);
+    options.build_tree = false;
+    EXPECT_EQ(Decompose(g, options).timings.tree_seconds, 0.0);
+  }
+}
+
 TEST(Decompose, NumCliquesPerFamily) {
   const Graph g = Complete(5);
   DecomposeOptions options;

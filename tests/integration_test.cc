@@ -79,19 +79,17 @@ TEST(Integration, SemiExternalTrussFeedsExporters) {
 }
 
 TEST(Integration, ParallelPeelFeedsFndSkeletonViaDft) {
-  // Parallel lambda + serial DFT vs all-serial FND: identical canonical
-  // nuclei for all three families on a non-trivial graph.
+  // Parallel lambda + serial DFT vs all-serial FND: identical hierarchies,
+  // node for node, on a non-trivial graph.
   const Graph g = testing_util::BowTieGraph();
   {
     const VertexSpace space(g);
     const PeelResult par = PeelParallel(space, 3);
     const SkeletonBuild dft = DfTraversal(space, par);
     const FndResult fnd = FastNucleusDecomposition(space);
-    EXPECT_TRUE(testing_util::NucleiEqual(
-        testing_util::NucleiFromHierarchy(
-            NucleusHierarchy::FromSkeleton(dft, space.NumCliques())),
-        testing_util::NucleiFromHierarchy(NucleusHierarchy::FromSkeleton(
-            fnd.build, space.NumCliques()))));
+    testing_util::ExpectHierarchyEqual(
+        NucleusHierarchy::FromSkeleton(dft, space.NumCliques()),
+        NucleusHierarchy::FromSkeleton(fnd.build, space.NumCliques()));
   }
   {
     const EdgeIndex edges = EdgeIndex::Build(g);
@@ -99,11 +97,9 @@ TEST(Integration, ParallelPeelFeedsFndSkeletonViaDft) {
     const PeelResult par = PeelParallel(space, 2);
     const SkeletonBuild dft = DfTraversal(space, par);
     const FndResult fnd = FastNucleusDecomposition(space);
-    EXPECT_TRUE(testing_util::NucleiEqual(
-        testing_util::NucleiFromHierarchy(
-            NucleusHierarchy::FromSkeleton(dft, space.NumCliques())),
-        testing_util::NucleiFromHierarchy(NucleusHierarchy::FromSkeleton(
-            fnd.build, space.NumCliques()))));
+    testing_util::ExpectHierarchyEqual(
+        NucleusHierarchy::FromSkeleton(dft, space.NumCliques()),
+        NucleusHierarchy::FromSkeleton(fnd.build, space.NumCliques()));
   }
 }
 
@@ -150,7 +146,7 @@ TEST(Integration, LabeledHierarchyIndexQueries) {
 
 TEST(Integration, BinaryRoundTripPreservesDecomposition) {
   // Edge list -> Graph -> binary -> Graph: all three families decompose to
-  // the same canonical nuclei as the original.
+  // the same hierarchy as the original.
   const Graph original = WithTriadicClosure(BarabasiAlbert(35, 2, 19), 40, 23);
   const std::string path = TempPath("int_roundtrip.nucgraph");
   ASSERT_TRUE(WriteBinaryGraph(original, path).ok());
@@ -163,10 +159,8 @@ TEST(Integration, BinaryRoundTripPreservesDecomposition) {
     opts.algorithm = Algorithm::kFnd;
     const DecompositionResult a = Decompose(original, opts);
     const DecompositionResult b = Decompose(*loaded, opts);
-    EXPECT_TRUE(testing_util::NucleiEqual(
-        testing_util::NucleiFromHierarchy(a.hierarchy),
-        testing_util::NucleiFromHierarchy(b.hierarchy)))
-        << FamilyName(family);
+    SCOPED_TRACE(FamilyName(family));
+    testing_util::ExpectHierarchyEqual(a.hierarchy, b.hierarchy);
   }
 }
 

@@ -121,24 +121,50 @@ TEST(LiveUpdate, CreateRejectsMismatchedPairings) {
   EXPECT_NE(wrong_family.status().message().find("(1,2)"),
             std::string::npos);
 
-  // Wrong algorithm: a kFnd hierarchy's node ids would not survive the
-  // first update (the rebuild is kDft-shaped), so the pairing is refused
-  // up front instead of silently renumbering.
-  DecomposeOptions fnd;
-  fnd.family = Family::kCore12;
-  fnd.algorithm = Algorithm::kFnd;
-  auto wrong_algorithm = LiveUpdater::Create(
-      g, MakeSnapshot(g, fnd, Decompose(g, fnd), false));
-  EXPECT_FALSE(wrong_algorithm.ok());
-  EXPECT_NE(wrong_algorithm.status().message().find("dft"),
-            std::string::npos);
-
   // Wrong graph (same-size but different edges, and different-size).
   EXPECT_FALSE(LiveUpdater::Create(Cycle(10), snapshot).ok());
   EXPECT_FALSE(LiveUpdater::Create(Cycle(9), snapshot).ok());
 
   // Matching pairing succeeds.
   EXPECT_TRUE(LiveUpdater::Create(g, snapshot).ok());
+}
+
+TEST(LiveUpdate, FndBuiltSnapshotTakesBatchesLikeAFreshBuild) {
+  // The default `decompose` algorithm, serial and threaded: its snapshot
+  // pairs with an updater, and every post-state is byte-identical (node
+  // numbering included) to a fresh build of the edited graph by the same
+  // algorithm — only the meta's algorithm field may differ.
+  const Graph g = RMat(7, 300, 0.5, 0.2, 0.2, 37);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    DecomposeOptions fnd;
+    fnd.family = Family::kCore12;
+    fnd.algorithm = Algorithm::kFnd;
+    fnd.parallel = ParallelConfig::WithThreads(threads);
+    auto updater = LiveUpdater::Create(
+        g, MakeSnapshot(g, fnd, Decompose(g, fnd), false));
+    ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+    Rng rng(31 + threads);
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE(round);
+      auto result =
+          LockedApply(**updater, RandomEdits((*updater)->maintainer(), rng, 6));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_TRUE(result->changed);
+      const Graph edited = (*updater)->maintainer().ToGraph();
+      const SnapshotData fresh =
+          MakeSnapshot(edited, fnd, Decompose(edited, fnd), false);
+      EXPECT_EQ(result->snapshot.peel.lambda, fresh.peel.lambda);
+      testing_util::ExpectHierarchyEqual(result->snapshot.hierarchy,
+                                         fresh.hierarchy);
+      const std::string stem = "live_fnd_t" + std::to_string(threads) +
+                               "_" + std::to_string(round);
+      EXPECT_EQ(
+          testing_util::SavedBytesSansAlgorithm(result->snapshot,
+                                                stem + "_post"),
+          testing_util::SavedBytesSansAlgorithm(fresh, stem + "_fresh"));
+    }
+  }
 }
 
 TEST(LiveUpdate, AllSkippedBatchLeavesServedStateUntouched) {

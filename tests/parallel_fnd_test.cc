@@ -4,8 +4,8 @@
 //   * lambda arrays bit-identical to the serial Peel / serial FND, and
 //   * output (comp assignment, skeleton, ADJ count) bit-identical across
 //     every thread count and grain, and
-//   * a hierarchy canonically identical to the serial algorithms'
-//     (same nuclei, validated structure, same sub-nucleus count as DFT).
+//   * a hierarchy identical, node for node, to the serial algorithms'
+//     (validated structure, same sub-nucleus count as DFT).
 #include "nucleus/parallel/parallel_fnd.h"
 
 #include <string>
@@ -22,6 +22,7 @@
 #include "nucleus/core/hierarchy.h"
 #include "nucleus/core/peeling.h"
 #include "nucleus/graph/generators.h"
+#include "nucleus/store/snapshot.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -48,8 +49,8 @@ void CheckSweep(const Space& space, std::int64_t num_cliques) {
   const PeelResult serial_peel = Peel(space);
   const FndResult serial = FastNucleusDecomposition(space);
   const SkeletonBuild dft = DfTraversal(space, serial_peel);
-  const auto serial_nuclei = testing_util::NucleiFromHierarchy(
-      NucleusHierarchy::FromSkeleton(serial.build, num_cliques));
+  const NucleusHierarchy serial_tree =
+      NucleusHierarchy::FromSkeleton(serial.build, num_cliques);
 
   // Reference parallel run: one thread, small grain (forces multi-chunk
   // buffers even on zoo-sized graphs).
@@ -67,8 +68,7 @@ void CheckSweep(const Space& space, std::int64_t num_cliques) {
   const NucleusHierarchy reference_tree =
       NucleusHierarchy::FromSkeleton(reference.build, num_cliques);
   reference_tree.Validate(reference.peel.lambda);
-  EXPECT_TRUE(testing_util::NucleiEqual(
-      testing_util::NucleiFromHierarchy(reference_tree), serial_nuclei));
+  testing_util::ExpectHierarchyEqual(reference_tree, serial_tree);
 
   const auto reference_skeleton = SkeletonImage(reference.build.skeleton);
   for (const int threads : kThreadSweep) {
@@ -144,8 +144,8 @@ class ParallelDecomposeZoo : public ::testing::TestWithParam<GraphCase> {};
 
 TEST_P(ParallelDecomposeZoo, ThreadedDecomposeMatchesSerialCanonically) {
   // The public entry point: Decompose with a threaded ParallelConfig must
-  // agree with the serial default for every family and the hierarchy
-  // algorithms that build trees.
+  // build the serial default's hierarchy, node for node, for every family
+  // and the hierarchy algorithms that build trees.
   const Graph g = GetParam().make();
   for (const Family family :
        {Family::kCore12, Family::kTruss23, Family::kNucleus34}) {
@@ -164,9 +164,43 @@ TEST_P(ParallelDecomposeZoo, ThreadedDecomposeMatchesSerialCanonically) {
 
       EXPECT_EQ(threaded.peel.lambda, serial.peel.lambda);
       EXPECT_EQ(threaded.peel.max_lambda, serial.peel.max_lambda);
-      EXPECT_TRUE(testing_util::NucleiEqual(
-          testing_util::NucleiFromHierarchy(threaded.hierarchy),
-          testing_util::NucleiFromHierarchy(serial.hierarchy)));
+      testing_util::ExpectHierarchyEqual(threaded.hierarchy,
+                                         serial.hierarchy);
+    }
+  }
+}
+
+TEST_P(ParallelDecomposeZoo, EveryAlgorithmAndThreadCountSavesIdenticalBytes) {
+  // Canonical numbering end to end: DFT, FND and LCPS ((1,2) only), serial
+  // and threaded, write the same hierarchy, index and member-store
+  // sections; only the meta's algorithm field tells them apart.
+  const Graph g = GetParam().make();
+  for (const Family family :
+       {Family::kCore12, Family::kTruss23, Family::kNucleus34}) {
+    std::vector<Algorithm> algorithms{Algorithm::kDft, Algorithm::kFnd};
+    if (family == Family::kCore12) algorithms.push_back(Algorithm::kLcps);
+    std::string first;  // the serial DFT run's bytes
+    for (const Algorithm algorithm : algorithms) {
+      for (const int threads : kThreadSweep) {
+        SCOPED_TRACE(::testing::Message()
+                     << FamilyName(family) << "/" << AlgorithmName(algorithm)
+                     << " threads=" << threads);
+        DecomposeOptions options;
+        options.family = family;
+        options.algorithm = algorithm;
+        options.parallel = ParallelConfig::WithThreads(threads);
+        options.parallel.grain_size = 16;
+        const std::string bytes = testing_util::SavedBytesSansAlgorithm(
+            MakeSnapshot(g, options, Decompose(g, options), false),
+            GetParam().name + "_" + std::to_string(static_cast<int>(family)) +
+                "_" + AlgorithmName(algorithm) + "_t" +
+                std::to_string(threads));
+        if (first.empty()) {
+          first = bytes;
+        } else {
+          EXPECT_EQ(bytes, first);
+        }
+      }
     }
   }
 }

@@ -76,10 +76,8 @@ TEST(ParallelPeel, FeedsSerialHierarchyConstruction) {
   tree.Validate(parallel.lambda);
 
   const SkeletonBuild serial_build = DfTraversal(space, Peel(space));
-  EXPECT_TRUE(testing_util::NucleiEqual(
-      testing_util::NucleiFromHierarchy(tree),
-      testing_util::NucleiFromHierarchy(NucleusHierarchy::FromSkeleton(
-          serial_build, g.NumVertices()))));
+  testing_util::ExpectHierarchyEqual(
+      tree, NucleusHierarchy::FromSkeleton(serial_build, g.NumVertices()));
 }
 
 TEST(ParallelPeel, ManyMoreThreadsThanWork) {

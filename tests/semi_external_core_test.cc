@@ -59,10 +59,7 @@ TEST_P(SemiExternalZoo, HierarchyMatchesDfTraversal) {
   const NucleusHierarchy dft_tree =
       NucleusHierarchy::FromSkeleton(dft, g.NumVertices());
   em_tree.Validate(em->peel.lambda);
-  EXPECT_TRUE(
-      testing_util::NucleiEqual(testing_util::NucleiFromHierarchy(em_tree),
-                                testing_util::NucleiFromHierarchy(dft_tree)))
-      << "semi-external and DFT hierarchies disagree";
+  testing_util::ExpectHierarchyEqual(em_tree, dft_tree);
 }
 
 TEST_P(SemiExternalZoo, SubcoreCountMatchesDfTraversal) {
@@ -142,9 +139,7 @@ TEST(SemiExternalCore, TinyBlocksGiveIdenticalResults) {
       r_big->build, g.NumVertices());
   const auto tree_tiny = NucleusHierarchy::FromSkeleton(
       r_tiny->build, g.NumVertices());
-  EXPECT_TRUE(
-      testing_util::NucleiEqual(testing_util::NucleiFromHierarchy(tree_big),
-                                testing_util::NucleiFromHierarchy(tree_tiny)));
+  testing_util::ExpectHierarchyEqual(tree_big, tree_tiny);
 }
 
 TEST(SemiExternalCore, IoStatsAccountScansAndSpills) {

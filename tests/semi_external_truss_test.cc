@@ -70,10 +70,7 @@ TEST_P(SemiExternalTrussZoo, HierarchyMatchesDfTraversal) {
   em_tree.Validate(em->peel.lambda);
   const NucleusHierarchy dft_tree =
       NucleusHierarchy::FromSkeleton(dft, edges.NumEdges());
-  EXPECT_TRUE(
-      testing_util::NucleiEqual(testing_util::NucleiFromHierarchy(em_tree),
-                                testing_util::NucleiFromHierarchy(dft_tree)))
-      << "semi-external truss and DFT hierarchies disagree";
+  testing_util::ExpectHierarchyEqual(em_tree, dft_tree);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, SemiExternalTrussZoo,

@@ -149,12 +149,12 @@ if(NOT stderr MATCHES "truncated")
   message(FATAL_ERROR "truncated snapshot: unexpected error\n${stderr}")
 endif()
 
-# 5. Live updates: patch a (1,2) snapshot with an edit batch and verify the
-# patched snapshot AND the resolved delta chain answer byte-identically to a
-# fresh decompose of the edited graph (kDft — the shape the update path
-# maintains).
+# 5. Live updates: patch a default-built (FND) (1,2) snapshot with an edit
+# batch and verify the patched snapshot AND the resolved delta chain answer
+# byte-identically to a fresh default decompose of the edited graph (node
+# numbering is canonical, so the building algorithm does not matter).
 set(CORE_SNAP ${WORK_DIR}/core.nucsnap)
-run_cli(0 dec_core decompose --input ${EDGES} --family core --algorithm dft --out-snapshot ${CORE_SNAP})
+run_cli(0 dec_core decompose --input ${EDGES} --family core --out-snapshot ${CORE_SNAP})
 
 # Edits: remove the first two edges of the edge list (never the max vertex
 # id, so the vertex count is unchanged), mirrored textually for the fresh
@@ -177,7 +177,7 @@ if(NOT EXISTS ${PATCHED} OR NOT EXISTS ${DELTA})
   message(FATAL_ERROR "update did not write ${PATCHED} / ${DELTA}")
 endif()
 
-run_cli(0 q_fresh query --input ${WORK_DIR}/edited.txt --family core --algorithm dft --u 0 --v 1 --top 3 --out-json ${WORK_DIR}/fresh_upd.json)
+run_cli(0 q_fresh query --input ${WORK_DIR}/edited.txt --family core --u 0 --v 1 --top 3 --out-json ${WORK_DIR}/fresh_upd.json)
 run_cli(0 q_patch query --snapshot ${PATCHED} --u 0 --v 1 --top 3 --out-json ${WORK_DIR}/patched_upd.json)
 run_cli(0 q_chain query --snapshot ${CORE_SNAP} --deltas ${DELTA} --input ${WORK_DIR}/edited.txt --u 0 --v 1 --top 3 --out-json ${WORK_DIR}/chain_upd.json)
 foreach(candidate patched_upd chain_upd)

@@ -28,6 +28,7 @@
 namespace nucleus {
 namespace {
 
+using testing_util::ExpectHierarchyEqual;
 using testing_util::GraphZoo;
 using testing_util::TempPath;
 
@@ -37,27 +38,6 @@ SnapshotData BuildSnapshot(const Graph& g, Family family, bool with_index) {
   options.algorithm = Algorithm::kFnd;
   const DecompositionResult result = Decompose(g, options);
   return MakeSnapshot(g, options, result, with_index);
-}
-
-void ExpectHierarchyEqual(const NucleusHierarchy& a,
-                          const NucleusHierarchy& b) {
-  ASSERT_EQ(a.NumNodes(), b.NumNodes());
-  ASSERT_EQ(a.NumCliques(), b.NumCliques());
-  EXPECT_EQ(a.root(), b.root());
-  EXPECT_EQ(a.NumNuclei(), b.NumNuclei());
-  EXPECT_EQ(a.MaxLambda(), b.MaxLambda());
-  for (std::int32_t id = 0; id < a.NumNodes(); ++id) {
-    const auto& na = a.node(id);
-    const auto& nb = b.node(id);
-    EXPECT_EQ(na.lambda, nb.lambda) << "node " << id;
-    EXPECT_EQ(na.parent, nb.parent) << "node " << id;
-    EXPECT_EQ(na.children, nb.children) << "node " << id;
-    EXPECT_EQ(na.members, nb.members) << "node " << id;
-    EXPECT_EQ(na.subtree_members, nb.subtree_members) << "node " << id;
-  }
-  for (CliqueId u = 0; u < a.NumCliques(); ++u) {
-    EXPECT_EQ(a.NodeOfClique(u), b.NodeOfClique(u)) << "clique " << u;
-  }
 }
 
 /// Every lambda / nucleus / common / members / top answer of `a` and `b`,

@@ -464,8 +464,10 @@ TEST(TcpServerDrain, DrainUnderLoadFinishesInFlightAndCloses) {
     });
   }
 
-  // Let the load build, then pull the plug mid-flight.
-  for (int spin = 0; spin < 500 && server.Stats().lines_admitted < 100;
+  // Let the load build on every client, then pull the plug mid-flight.
+  for (int spin = 0;
+       spin < 500 && (server.Stats().connections_accepted < kClients ||
+                      server.Stats().lines_admitted < 100);
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -29,6 +32,8 @@
 #include "nucleus/graph/generators.h"
 #include "nucleus/graph/graph.h"
 #include "nucleus/graph/graph_builder.h"
+#include "nucleus/store/snapshot.h"
+#include "nucleus/store/snapshot_v2.h"
 
 namespace nucleus {
 namespace testing_util {
@@ -165,8 +170,10 @@ std::vector<Nucleus> ReferenceNuclei(const Space& space,
 }
 
 // ---------------------------------------------------------------------------
-// Canonical form: sort nuclei by (k, members) so different algorithms'
-// outputs compare with ==.
+// Canonical form: sort nuclei by (k, members) so nuclei lists that carry no
+// node numbering (the naive traversal, the reference, the variants'
+// labeled trees) compare with ==. Hierarchies compare node for node
+// (ExpectHierarchyEqual): their numbering is canonical already.
 inline std::vector<Nucleus> Canonicalize(std::vector<Nucleus> nuclei) {
   for (Nucleus& nucleus : nuclei) {
     std::sort(nucleus.members.begin(), nucleus.members.end());
@@ -189,6 +196,50 @@ inline bool NucleiEqual(const std::vector<Nucleus>& a,
 
 inline std::vector<Nucleus> NucleiFromHierarchy(const NucleusHierarchy& h) {
   return Canonicalize(h.ExtractNuclei());
+}
+
+/// The bytes SaveSnapshotV2 writes for `snapshot`, minus the one field
+/// allowed to differ between algorithms: the preamble's algorithm (bytes
+/// 20..23) and the header digest covering it are zeroed. Every other byte
+/// is a function of the graph and its nucleus set alone.
+inline std::string SavedBytesSansAlgorithm(const SnapshotData& snapshot,
+                                           const std::string& name) {
+  const std::string path = TempPath(name + ".nucsnap");
+  EXPECT_TRUE(SaveSnapshotV2(snapshot, path).ok()) << name;
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  if (bytes.size() < static_cast<std::size_t>(kSnapshotV2HeaderBytes)) {
+    ADD_FAILURE() << name << ": short snapshot";
+    return bytes;
+  }
+  bytes.replace(20, 4, 4, '\0');
+  bytes.replace(kSnapshotV2HeaderBytes - 8, 8, 8, '\0');
+  return bytes;
+}
+
+/// Node-for-node equality: every algorithm and thread count numbers the
+/// hierarchy identically (NucleusHierarchy::FromSkeleton).
+inline void ExpectHierarchyEqual(const NucleusHierarchy& a,
+                                 const NucleusHierarchy& b) {
+  ASSERT_EQ(a.NumNodes(), b.NumNodes());
+  ASSERT_EQ(a.NumCliques(), b.NumCliques());
+  EXPECT_EQ(a.root(), b.root());
+  EXPECT_EQ(a.NumNuclei(), b.NumNuclei());
+  EXPECT_EQ(a.MaxLambda(), b.MaxLambda());
+  for (std::int32_t id = 0; id < a.NumNodes(); ++id) {
+    const auto& na = a.node(id);
+    const auto& nb = b.node(id);
+    EXPECT_EQ(na.lambda, nb.lambda) << "node " << id;
+    EXPECT_EQ(na.parent, nb.parent) << "node " << id;
+    EXPECT_EQ(na.children, nb.children) << "node " << id;
+    EXPECT_EQ(na.members, nb.members) << "node " << id;
+    EXPECT_EQ(na.subtree_members, nb.subtree_members) << "node " << id;
+  }
+  for (CliqueId u = 0; u < a.NumCliques(); ++u) {
+    EXPECT_EQ(a.NodeOfClique(u), b.NodeOfClique(u)) << "clique " << u;
+  }
 }
 
 // ---------------------------------------------------------------------------
