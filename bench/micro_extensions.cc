@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the extension modules: binary IO
-// and disk scans, spill-file sorting, semi-external lambda scans, the
-// label-driven hierarchy builder, variant peels, wave-parallel peeling and
-// HierarchyIndex construction/queries.
+// and disk scans, spill-file sorting, semi-external lambda scans,
+// wave-parallel peeling and HierarchyIndex construction/queries.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -16,9 +15,6 @@
 #include "nucleus/graph/generators.h"
 #include "nucleus/parallel/parallel_peel.h"
 #include "nucleus/util/rng.h"
-#include "nucleus/variants/probabilistic_core.h"
-#include "nucleus/variants/vertex_hierarchy.h"
-#include "nucleus/variants/weighted_core.h"
 
 namespace nucleus {
 namespace {
@@ -99,39 +95,6 @@ void BM_SemiExternalCoreLambda(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SemiExternalCoreLambda);
-
-void BM_LabeledHierarchyBuild(benchmark::State& state) {
-  const Graph& g = SocialGraph();
-  const PeelResult peel = Peel(VertexSpace(g));
-  std::vector<std::int64_t> labels(peel.lambda.begin(), peel.lambda.end());
-  for (auto _ : state) {
-    LabeledSkeleton skeleton = BuildVertexHierarchy(g, labels);
-    benchmark::DoNotOptimize(skeleton.build.num_subnuclei);
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
-BENCHMARK(BM_LabeledHierarchyBuild);
-
-void BM_WeightedCorePeel(benchmark::State& state) {
-  const WeightedGraph wg = WeightedGraph::UniformWeights(SocialGraph(), 3);
-  for (auto _ : state) {
-    const WeightedCoreResult r = WeightedCoreNumbers(wg);
-    benchmark::DoNotOptimize(r.max_lambda);
-  }
-  state.SetItemsProcessed(state.iterations() * wg.NumEdges());
-}
-BENCHMARK(BM_WeightedCorePeel);
-
-void BM_ProbabilisticCorePeel(benchmark::State& state) {
-  const UncertainGraph ug =
-      UncertainGraph::UniformProbability(SocialGraph(), 0.8);
-  for (auto _ : state) {
-    const ProbabilisticCoreResult r = ProbabilisticCoreNumbers(ug, 0.5);
-    benchmark::DoNotOptimize(r.max_lambda);
-  }
-  state.SetItemsProcessed(state.iterations() * ug.NumEdges());
-}
-BENCHMARK(BM_ProbabilisticCorePeel);
 
 void BM_WaveParallelPeel12(benchmark::State& state) {
   const VertexSpace space(SocialGraph());

@@ -20,9 +20,10 @@ std::int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 LiveUpdater::LiveUpdater(const Graph& g, std::vector<Lambda> lambda,
-                         const ChainLink& link)
+                         const ChainLink& link, Algorithm algorithm)
     : maintainer_(g, std::move(lambda)),
       base_fingerprint_(link.base_fingerprint),
+      algorithm_(algorithm),
       parent_fingerprint_(link.parent_fingerprint),
       parent_lambda_fingerprint_(LambdaFingerprint(maintainer_.lambda())) {}
 
@@ -57,7 +58,7 @@ StatusOr<std::unique_ptr<LiveUpdater>> LiveUpdater::Create(
     resolved.parent_fingerprint = EdgeSetFingerprint(g);
   }
   return std::unique_ptr<LiveUpdater>(
-      new LiveUpdater(g, snapshot.peel.lambda, resolved));
+      new LiveUpdater(g, snapshot.peel.lambda, resolved, meta.algorithm));
 }
 
 StatusOr<LiveUpdater::Result> LiveUpdater::Apply(
@@ -122,7 +123,7 @@ StatusOr<LiveUpdater::Result> LiveUpdater::Apply(
   const auto rebuild_start = std::chrono::steady_clock::now();
   const Graph g = maintainer_.ToGraph();
   result.snapshot.meta.family = Family::kCore12;
-  result.snapshot.meta.algorithm = Algorithm::kDft;
+  result.snapshot.meta.algorithm = algorithm_;
   result.snapshot.meta.num_vertices = n;
   result.snapshot.meta.num_edges = g.NumEdges();
   result.snapshot.meta.graph_fingerprint = GraphFingerprint(g);

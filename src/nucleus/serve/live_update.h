@@ -46,11 +46,11 @@ class LiveUpdater {
     /// True iff the batch changed the graph (report.applied > 0).
     bool changed = false;
     /// Post-state snapshot: (1,2), no index tables (the engine or a later
-    /// save builds them on demand); meta.algorithm is kDft, the traversal
-    /// that rebuilt the hierarchy. Only populated when `changed` — an
-    /// all-skipped batch leaves the served state as-is, so there is
-    /// nothing to swap in and the O(V+E) materialization is skipped
-    /// (idempotent replays stay O(edits)).
+    /// save builds them on demand); meta.algorithm is the base
+    /// snapshot's. Only populated when `changed` — an all-skipped batch
+    /// leaves the served state as-is, so there is nothing to swap in and
+    /// the O(V+E) materialization is skipped (idempotent replays stay
+    /// O(edits)).
     SnapshotData snapshot;
   };
 
@@ -96,7 +96,7 @@ class LiveUpdater {
 
  private:
   LiveUpdater(const Graph& g, std::vector<Lambda> lambda,
-              const ChainLink& link);
+              const ChainLink& link, Algorithm algorithm);
 
   Mutex apply_mutex_;
   /// The maintainer is mutated only by Apply (REQUIRES apply_mutex_) but
@@ -105,6 +105,8 @@ class LiveUpdater {
   /// deliberately not GUARDED_BY(apply_mutex_).
   IncrementalCoreMaintainer maintainer_;
   std::uint64_t base_fingerprint_;
+  /// The base snapshot's meta.algorithm, carried into every post-state.
+  Algorithm algorithm_;
   /// EdgeSetFingerprint / LambdaFingerprint of the state the NEXT delta
   /// descends from; both advance to the child values after every Apply.
   std::uint64_t parent_fingerprint_ GUARDED_BY(apply_mutex_);

@@ -377,7 +377,6 @@ StatusOr<SnapshotData> ResolveChain(const std::vector<std::string>& paths,
 
   snapshot.peel.max_lambda = max_lambda;
   snapshot.hierarchy = RebuildCoreHierarchy(graph, snapshot.peel);
-  snapshot.meta.algorithm = Algorithm::kDft;
   snapshot.meta.num_edges = graph.NumEdges();
   snapshot.meta.graph_fingerprint = GraphFingerprint(graph);
   snapshot.meta.max_lambda = max_lambda;

@@ -134,9 +134,9 @@ struct ChainLink {
 /// carry the base's fingerprint and |V|; consecutive records must agree on
 /// fingerprints and edge counts; the leaf must match `graph`. The returned
 /// SnapshotData carries the patched lambdas, the rebuilt hierarchy
-/// (canonical numbering, meta.algorithm kDft) and meta refreshed for
-/// `graph`; `link` (if non-null) receives the chain endpoint for a
-/// continuing LiveUpdater.
+/// (canonical numbering; meta.algorithm stays the base's) and meta
+/// refreshed for `graph`; `link` (if non-null) receives the chain
+/// endpoint for a continuing LiveUpdater.
 StatusOr<SnapshotData> ResolveChain(const std::vector<std::string>& paths,
                                     const Graph& graph,
                                     ChainLink* link = nullptr);

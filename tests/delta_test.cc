@@ -30,10 +30,11 @@ StatusOr<LiveUpdater::Result> LockedApply(LiveUpdater& updater,
   return updater.Apply(edits);
 }
 
-SnapshotData BuildCoreSnapshot(const Graph& g, bool with_index = true) {
+SnapshotData BuildCoreSnapshot(const Graph& g, bool with_index = true,
+                               Algorithm algorithm = Algorithm::kDft) {
   DecomposeOptions options;
   options.family = Family::kCore12;
-  options.algorithm = Algorithm::kDft;
+  options.algorithm = algorithm;
   return MakeSnapshot(g, options, Decompose(g, options), with_index);
 }
 
@@ -81,10 +82,11 @@ struct ChainFixture {
 
 ChainFixture BuildChain(const Graph& g, const std::string& stem,
                         std::uint64_t seed, int batches = 3,
-                        int batch_size = 6) {
+                        int batch_size = 6,
+                        Algorithm algorithm = Algorithm::kDft) {
   ChainFixture fixture;
   const std::string base_path = TempPath(stem + "_base.nucsnap");
-  SnapshotData base = BuildCoreSnapshot(g);
+  SnapshotData base = BuildCoreSnapshot(g, true, algorithm);
   EXPECT_TRUE(SaveSnapshotV2(base, base_path).ok());
   fixture.paths.push_back(base_path);
 
@@ -419,6 +421,24 @@ TEST(DeltaChain, ChainLinkContinuesAnExistingChain) {
   EXPECT_TRUE(SameHierarchy(re_resolved->hierarchy, fresh.hierarchy));
 
   std::remove(extension.c_str());
+  RemoveAll(fixture.paths);
+}
+
+TEST(DeltaChain, ResolvedChainKeepsTheBaseAlgorithm) {
+  // A chain on a default-built (FND) base resolves to the bytes a fresh
+  // FND build of the final graph saves: the base's algorithm field is
+  // carried through, not overwritten.
+  const Graph g = Caveman(4, 8, 6, 29);
+  ChainFixture fixture =
+      BuildChain(g, "chain_fnd", 41, 3, 6, Algorithm::kFnd);
+  StatusOr<SnapshotData> resolved =
+      ResolveChain(fixture.paths, fixture.final_graph);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(resolved->meta.algorithm, Algorithm::kFnd);
+  const SnapshotData fresh =
+      BuildCoreSnapshot(fixture.final_graph, false, Algorithm::kFnd);
+  EXPECT_EQ(testing_util::SavedBytes(*resolved, "chain_fnd_resolved"),
+            testing_util::SavedBytes(fresh, "chain_fnd_fresh"));
   RemoveAll(fixture.paths);
 }
 

@@ -40,7 +40,8 @@ std::int64_t AppendPathLinesTo(std::string* text, std::size_t bytes,
   for (; text->size() + 40 < bytes; ++*next, ++lines) {
     *text += std::to_string(*next) + " " + std::to_string(*next + 1) + "\n";
   }
-  *text += "#" + std::string(bytes - text->size() - 2, 'p') + "\n";
+  const std::size_t pad = bytes - text->size() - 2;
+  text->append("#").append(pad, 'p').append("\n");
   return lines + 1;
 }
 
@@ -252,7 +253,8 @@ TEST(ParseEdgeList, MalformedLineAtChunkBoundaryReportsExactLine) {
 // Valid lines cut by the chunk boundary at every offset parse exactly.
 TEST(ParseEdgeList, LinesCutByChunkBoundaryParseExactly) {
   for (std::size_t pad = 2; pad < 16; ++pad) {
-    std::string text = "#" + std::string(pad - 2, 'p') + "\n";
+    std::string text = "#";
+    text.append(pad - 2, 'p').append("\n");
     VertexId next = 0;
     AppendPathLinesTo(&text, kEdgeListChunkBytes + 64, &next);
     const auto g = ParseEdgeList(text);
@@ -296,7 +298,7 @@ TEST(ReadEdgeList, FileOverTwoChunksParsesExactly) {
 // them.
 TEST(ParseEdgeList, LinesLongerThanAChunkParse) {
   std::string text = "0 1\n";
-  text += "#" + std::string(3 * kEdgeListChunkBytes, 'c') + "\n";
+  text.append("#").append(3 * kEdgeListChunkBytes, 'c').append("\n");
   text += "5 6" + std::string(kEdgeListChunkBytes + 5, ' ') + "tail\n";
   text += "1 2\n";
   const auto g = ParseEdgeList(text);

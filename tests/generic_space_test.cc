@@ -145,8 +145,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int>{1, 4}, std::pair<int, int>{2, 3},
                       std::pair<int, int>{2, 4}, std::pair<int, int>{3, 4}),
     [](const ::testing::TestParamInfo<std::pair<int, int>>& info) {
-      return "r" + std::to_string(info.param.first) + "s" +
-             std::to_string(info.param.second);
+      std::string name = "r";
+      name.append(std::to_string(info.param.first))
+          .append("s")
+          .append(std::to_string(info.param.second));
+      return name;
     });
 
 TEST(GenericSpace, K13NucleusOfK4IsWholeClique) {

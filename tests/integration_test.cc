@@ -1,7 +1,7 @@
 // Cross-module integration tests: each test chains several subsystems the
 // way a downstream user would, asserting the seams agree — disk round trips
-// feeding decompositions, variant hierarchies feeding exporters and query
-// indexes, parallel peels feeding serial hierarchy construction.
+// feeding decompositions, semi-external hierarchies feeding exporters and
+// query indexes, parallel peels feeding serial hierarchy construction.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -20,8 +20,6 @@
 #include "nucleus/graph/generators.h"
 #include "nucleus/io/hierarchy_export.h"
 #include "nucleus/parallel/parallel_peel.h"
-#include "nucleus/variants/vertex_hierarchy.h"
-#include "nucleus/variants/weighted_core.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -100,47 +98,6 @@ TEST(Integration, ParallelPeelFeedsFndSkeletonViaDft) {
     testing_util::ExpectHierarchyEqual(
         NucleusHierarchy::FromSkeleton(dft, space.NumCliques()),
         NucleusHierarchy::FromSkeleton(fnd.build, space.NumCliques()));
-  }
-}
-
-TEST(Integration, WeightedUnitCoreTreeMatchesDecomposeFacade) {
-  // Weighted decomposition with unit weights == the facade's k-core tree,
-  // member set for member set (after rank->lambda translation).
-  const Graph g = ErdosRenyiGnp(50, 0.12, 271);
-  const WeightedGraph wg = WeightedGraph::UniformWeights(g, 1);
-  const WeightedCoreDecomposition wd = DecomposeWeightedCore(wg);
-  std::vector<Nucleus> weighted = testing_util::NucleiFromHierarchy(
-      LabeledHierarchyTree(g, wd.skeleton));
-  for (Nucleus& nucleus : weighted) {
-    nucleus.k =
-        static_cast<Lambda>(wd.skeleton.distinct_labels[nucleus.k - 1]);
-  }
-
-  DecomposeOptions opts;
-  opts.family = Family::kCore12;
-  opts.algorithm = Algorithm::kDft;
-  const DecompositionResult mem = Decompose(g, opts);
-  EXPECT_TRUE(testing_util::NucleiEqual(
-      testing_util::Canonicalize(std::move(weighted)),
-      testing_util::NucleiFromHierarchy(mem.hierarchy)));
-}
-
-TEST(Integration, LabeledHierarchyIndexQueries) {
-  // HierarchyIndex works on variant trees too: weighted-core LCA levels
-  // respect the label thresholds.
-  const Graph g = Caveman(2, 8, 3, 53);
-  WeightedGraph wg = WeightedGraph::UniformWeights(g, 5);
-  const WeightedCoreDecomposition wd = DecomposeWeightedCore(wg);
-  const NucleusHierarchy tree = LabeledHierarchyTree(g, wd.skeleton);
-  const HierarchyIndex index(tree);
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (VertexId v = u + 1; v < g.NumVertices(); v += 5) {
-      const Lambda rank = index.CommonNucleusLevel(u, v);
-      if (rank == 0) continue;
-      const std::int64_t threshold = wd.skeleton.distinct_labels[rank - 1];
-      EXPECT_LE(threshold, wd.core.lambda[u]);
-      EXPECT_LE(threshold, wd.core.lambda[v]);
-    }
   }
 }
 

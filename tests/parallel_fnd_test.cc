@@ -116,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ParallelFndZoo, ::testing::ValuesIn(GraphZoo()),
 
 TEST(ParallelFnd, GenericSpaceMatchesSerial) {
   const Graph g = ErdosRenyiGnp(30, 0.3, 67);
-  for (const auto [r, s] : {std::pair<int, int>{1, 3}, {2, 4}}) {
+  for (const auto& [r, s] : {std::pair<int, int>{1, 3}, {2, 4}}) {
     SCOPED_TRACE(::testing::Message() << "(" << r << "," << s << ")");
     const GenericSpace space = GenericSpace::Build(g, r, s);
     CheckSweep(space, space.NumCliques());

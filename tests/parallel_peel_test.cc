@@ -96,7 +96,7 @@ TEST(ParallelPeel, GenericSpacesMatchSerial) {
   // The wave peel is generic in (r, s) like everything else: exercise the
   // exotic decompositions the specialized spaces do not cover.
   const Graph g = ErdosRenyiGnp(30, 0.3, 67);
-  for (const auto [r, s] :
+  for (const auto& [r, s] :
        {std::pair<int, int>{1, 3}, {1, 4}, {2, 4}}) {
     SCOPED_TRACE(testing::Message() << "(" << r << "," << s << ")");
     const GenericSpace space = GenericSpace::Build(g, r, s);

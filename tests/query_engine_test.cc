@@ -94,7 +94,9 @@ void ExpectResponsesEqual(const QueryEngine::Response& a,
     EXPECT_EQ(a.top[i].k, b.top[i].k);
   }
   ASSERT_EQ(a.members == nullptr, b.members == nullptr);
-  if (a.members != nullptr) EXPECT_EQ(*a.members, *b.members);
+  if (a.members != nullptr) {
+    EXPECT_EQ(*a.members, *b.members);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +154,9 @@ TEST_P(QueryEngineZooTest, MatchesDirectIndexAndIsThreadCountInvariant) {
               static_cast<CliqueId>(query.a),
               static_cast<CliqueId>(query.b));
           EXPECT_EQ(response.found, node != kInvalidId);
-          if (node != kInvalidId) EXPECT_EQ(response.nucleus.node, node);
+          if (node != kInvalidId) {
+            EXPECT_EQ(response.nucleus.node, node);
+          }
           break;
         }
         case QueryEngine::QueryKind::kLevel:

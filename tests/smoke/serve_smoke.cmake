@@ -152,7 +152,9 @@ endif()
 # 5. Live updates: patch a default-built (FND) (1,2) snapshot with an edit
 # batch and verify the patched snapshot AND the resolved delta chain answer
 # byte-identically to a fresh default decompose of the edited graph (node
-# numbering is canonical, so the building algorithm does not matter).
+# numbering is canonical, so the building algorithm does not matter), and
+# that the patched file is byte-identical to that fresh decompose's
+# snapshot (the base's algorithm field is carried through the update).
 set(CORE_SNAP ${WORK_DIR}/core.nucsnap)
 run_cli(0 dec_core decompose --input ${EDGES} --family core --out-snapshot ${CORE_SNAP})
 
@@ -187,6 +189,12 @@ foreach(candidate patched_upd chain_upd)
     message(FATAL_ERROR "${candidate} answers differ from a fresh decompose of the edited graph")
   endif()
 endforeach()
+run_cli(0 dec_fresh decompose --input ${WORK_DIR}/edited.txt --family core --out-snapshot ${WORK_DIR}/fresh.nucsnap)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+  ${WORK_DIR}/fresh.nucsnap ${PATCHED} RESULT_VARIABLE diff)
+if(NOT diff EQUAL 0)
+  message(FATAL_ERROR "update --out-snapshot differs from a fresh decompose --out-snapshot of the edited graph")
+endif()
 
 # 6. The serve `update` verb: a live session applies the same edits and its
 # post-update answers must equal serving the patched snapshot; output is

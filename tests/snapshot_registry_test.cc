@@ -586,7 +586,9 @@ TEST(SnapshotRegistry, ConcurrentAcquireEvictDetachChurn) {
       query.a = 0;
       const QueryEngine::Response response = lease->engine().Run(query);
       ASSERT_TRUE(response.status.ok());
-      if (expected >= 0) EXPECT_EQ(response.lambda, expected);
+      if (expected >= 0) {
+        EXPECT_EQ(response.lambda, expected);
+      }
       answered.fetch_add(1, std::memory_order_relaxed);
     }
   };

@@ -78,7 +78,9 @@ void ExpectResponsesEqual(const QueryEngine::Response& a,
     EXPECT_EQ(a.top[i].size, b.top[i].size);
   }
   ASSERT_EQ(a.members == nullptr, b.members == nullptr);
-  if (a.members != nullptr) EXPECT_EQ(*a.members, *b.members);
+  if (a.members != nullptr) {
+    EXPECT_EQ(*a.members, *b.members);
+  }
 }
 
 /// The three holdings of `snapshot`, in the order the tests name them.

@@ -171,9 +171,9 @@ std::vector<Nucleus> ReferenceNuclei(const Space& space,
 
 // ---------------------------------------------------------------------------
 // Canonical form: sort nuclei by (k, members) so nuclei lists that carry no
-// node numbering (the naive traversal, the reference, the variants'
-// labeled trees) compare with ==. Hierarchies compare node for node
-// (ExpectHierarchyEqual): their numbering is canonical already.
+// node numbering (the naive traversal, the reference) compare with ==.
+// Hierarchies compare node for node (ExpectHierarchyEqual): their numbering
+// is canonical already.
 inline std::vector<Nucleus> Canonicalize(std::vector<Nucleus> nuclei) {
   for (Nucleus& nucleus : nuclei) {
     std::sort(nucleus.members.begin(), nucleus.members.end());
@@ -198,18 +198,25 @@ inline std::vector<Nucleus> NucleiFromHierarchy(const NucleusHierarchy& h) {
   return Canonicalize(h.ExtractNuclei());
 }
 
-/// The bytes SaveSnapshotV2 writes for `snapshot`, minus the one field
-/// allowed to differ between algorithms: the preamble's algorithm (bytes
-/// 20..23) and the header digest covering it are zeroed. Every other byte
-/// is a function of the graph and its nucleus set alone.
-inline std::string SavedBytesSansAlgorithm(const SnapshotData& snapshot,
-                                           const std::string& name) {
+/// The bytes SaveSnapshotV2 writes for `snapshot`.
+inline std::string SavedBytes(const SnapshotData& snapshot,
+                              const std::string& name) {
   const std::string path = TempPath(name + ".nucsnap");
   EXPECT_TRUE(SaveSnapshotV2(snapshot, path).ok()) << name;
   std::ifstream in(path, std::ios::binary);
   std::string bytes{std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>()};
   std::remove(path.c_str());
+  return bytes;
+}
+
+/// SavedBytes minus the one field allowed to differ between algorithms:
+/// the preamble's algorithm (bytes 20..23) and the header digest covering
+/// it are zeroed. Every other byte is a function of the graph and its
+/// nucleus set alone.
+inline std::string SavedBytesSansAlgorithm(const SnapshotData& snapshot,
+                                           const std::string& name) {
+  std::string bytes = SavedBytes(snapshot, name);
   if (bytes.size() < static_cast<std::size_t>(kSnapshotV2HeaderBytes)) {
     ADD_FAILURE() << name << ": short snapshot";
     return bytes;

@@ -89,7 +89,8 @@ TEST_P(ThreadPoolTest, ReusedAcrossManyJobs) {
 
 INSTANTIATE_TEST_SUITE_P(Lanes, ThreadPoolTest, ::testing::Values(1, 2, 4, 8),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           return name.append(std::to_string(info.param));
                          });
 
 TEST(ThreadPool, ZeroTotalRunsNothing) {
