@@ -8,7 +8,8 @@
 //             [--out-json F] [--out-dot F]
 //             [--lambda F]         write per-K_r lambda values to F
 //             --threads: 1 = serial (default), 0 = all hardware threads,
-//             N > 1 = wave-parallel peel + parallel FND hierarchy
+//             N > 1 = wave-parallel (2,3)/(3,4) peel + parallel FND
+//             hierarchy
 //   stats     --input <edges.txt>  structural statistics
 //   generate  --type <name> --out <edges.txt> [--n N] [--param P] [--seed S]
 //             types: er, ba, rmat, ws, planted, caveman

@@ -57,11 +57,17 @@ DecompositionResult RunOnSpace(const Space& space,
   result.timings.index_seconds = index_seconds;
   Timer timer;
 
-  // Serial stays on Alg. 1's bucket queue; any other resolved thread count
-  // peels wave-parallel (bit-identical lambda either way).
+  // (1,2) always runs the flat-array peel: it is linear and memory-bound,
+  // and the wave peel is slower than it at every thread count. (2,3) and
+  // (3,4) peel wave-parallel whenever more than one thread resolves
+  // (bit-identical lambda either way).
   const bool threaded = options.parallel.ResolvedThreads() > 1;
   const auto peel = [&] {
-    return threaded ? PeelParallel(space, options.parallel) : Peel(space);
+    if constexpr (std::is_same_v<Space, VertexSpace>) {
+      return Peel(space);
+    } else {
+      return threaded ? PeelParallel(space, options.parallel) : Peel(space);
+    }
   };
   const auto build_hierarchy = [&](const SkeletonBuild& build) {
     Timer tree_timer;

@@ -44,8 +44,9 @@ struct DecomposeOptions {
   bool build_tree = true;
   /// Threading. Defaults to serial (num_threads == 1); num_threads == 0
   /// uses all hardware threads. With more than one resolved thread the
-  /// peeling phase runs wave-parallel for every algorithm, and kFnd runs
-  /// the fully parallel pipeline (FastNucleusDecompositionParallel). The
+  /// (2,3) and (3,4) peels run wave-parallel for every algorithm ((1,2)
+  /// keeps its flat-array peel at every thread count), and kFnd runs the
+  /// parallel pipeline (FastNucleusDecompositionParallel). The
   /// peel output is bit-identical to the serial run, and so is the
   /// hierarchy, node numbering included, for every algorithm (see
   /// NucleusHierarchy::FromSkeleton and parallel/parallel_fnd.h).

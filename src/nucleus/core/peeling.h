@@ -36,7 +36,7 @@ std::vector<std::int32_t> ComputeSupports(const Space& space) {
 // ComputeSupports.
 
 /// Alg. 1. Runs in O(R_r + sum_u omega_r(u) d(u)^{s-r}) as analyzed in the
-/// paper's Section 3.3.
+/// paper's Section 3.3. (1,2) has its own flat-array definition below.
 template <typename Space>
 PeelResult Peel(const Space& space) {
   PeelResult result;
@@ -66,13 +66,23 @@ PeelResult Peel(const Space& space) {
   return result;
 }
 
+/// Alg. 1 for (1,2), where it is exactly the Batagelj-Zaversnik k-core
+/// algorithm: degrees come straight from the CSR offsets, and the bucket
+/// queue is three flat int32 arrays (bucket starts, positions and the
+/// vertex order). A vertex's neighbor w is charged iff its current degree
+/// exceeds the popped degree k: every popped vertex sits at its final
+/// degree <= k, so that one test replaces both the popped-member scan and
+/// the queue's bookkeeping. O(n + m) time; lambda identical to the generic
+/// peel.
+template <>
+PeelResult Peel<VertexSpace>(const VertexSpace& space);
+
 extern template std::vector<std::int32_t> ComputeSupports<VertexSpace>(
     const VertexSpace&);
 extern template std::vector<std::int32_t> ComputeSupports<EdgeSpace>(
     const EdgeSpace&);
 extern template std::vector<std::int32_t> ComputeSupports<TriangleSpace>(
     const TriangleSpace&);
-extern template PeelResult Peel<VertexSpace>(const VertexSpace&);
 extern template PeelResult Peel<EdgeSpace>(const EdgeSpace&);
 extern template PeelResult Peel<TriangleSpace>(const TriangleSpace&);
 

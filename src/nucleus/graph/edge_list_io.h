@@ -3,11 +3,20 @@
 // Matrix Collection format, used by uk-2005).
 //
 // Cost contract: the readers stream their input through one buffer of
-// kEdgeListChunkBytes (grown only for a single longer line) and parse it in
-// O(file size), with no per-line allocation, no whole-file buffer and no
-// mapping; memory beyond that buffer is GraphBuilder's (one 8-byte pair per
-// edge line) and the resulting Graph. WriteEdgeList formats into one buffer
-// of the same size.
+// kEdgeListChunkBytes (grown only for a single longer line). Each batch it
+// takes is cut at its last newline and split at newlines into L slices, L
+// being the number of hardware lanes capped by the number of chunks the
+// input has, so an input of one chunk or less parses on the calling thread
+// and starts no thread. The slices parse in parallel on a ThreadPool, each
+// into its own buffer of canonical pairs, and the buffers append to
+// GraphBuilder in slice order. Beyond the buffer and one batch's pairs,
+// both released before GraphBuilder::Build, memory is GraphBuilder's (one
+// 8-byte pair per edge line) and the resulting Graph; there is no per-line
+// allocation, no whole-file buffer and no mapping. Errors are those of a
+// serial read: the first bad line in file order is reported, with its line
+// number counted over the whole input. A read error is reported once its
+// batch is read, ahead of a bad line earlier in that batch. WriteEdgeList
+// formats into one buffer of kEdgeListChunkBytes.
 #ifndef NUCLEUS_GRAPH_EDGE_LIST_IO_H_
 #define NUCLEUS_GRAPH_EDGE_LIST_IO_H_
 

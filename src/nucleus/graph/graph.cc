@@ -22,6 +22,7 @@ Status ValidateCsr(std::span<const std::int64_t> offsets,
                                      std::to_string(v));
     }
   }
+  std::int64_t up = 0;  // entries (u, v) with v > u
   for (VertexId v = 0; v < n; ++v) {
     for (std::int64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       const VertexId w = adj[i];
@@ -33,25 +34,33 @@ Status ValidateCsr(std::span<const std::int64_t> offsets,
         return Status::InvalidArgument(
             "adjacency list not strictly increasing");
       }
+      up += w > v;
     }
   }
-  // Symmetry by a transpose walk, one cursor per list. Visiting u in
-  // ascending order sends u to each neighbor's list in ascending order, so
-  // list v must read exactly the sequence of u it receives; cursor[v] marks
-  // how much of it has matched. No final "every cursor reached its list's
-  // end" pass is needed: a completed walk made adj.size() matches, none past
-  // its own list's end, and the lists hold adj.size() entries in all, so
-  // each list matched in full.
-  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
+  // Symmetry by a half transpose walk over the up-entries. Visiting u in
+  // ascending order sends u to each larger neighbor v in ascending order,
+  // and list v's down-entries (those below v) sit at its front in the same
+  // order, so list v must read exactly the sequence it receives; cursor[v]
+  // counts how much of it has matched. A completed walk matched every
+  // up-entry to a distinct down-entry, so it remains to require as many
+  // down-entries as up-entries: then each down-entry has its reverse too.
+  std::vector<std::int32_t> cursor(static_cast<std::size_t>(n), 0);
   for (VertexId u = 0; u < n; ++u) {
-    for (std::int64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+    const std::int64_t end = offsets[u + 1];
+    std::int64_t i = std::upper_bound(adj.begin() + offsets[u],
+                                      adj.begin() + end, u) -
+                     adj.begin();
+    for (; i < end; ++i) {
       const VertexId v = adj[i];
-      std::int64_t& c = cursor[v];
-      if (c == offsets[v + 1] || adj[c] != u) {
+      std::int32_t& c = cursor[v];
+      if (offsets[v] + c == offsets[v + 1] || adj[offsets[v] + c] != u) {
         return Status::InvalidArgument("CSR input is not symmetric");
       }
       ++c;
     }
+  }
+  if (2 * up != static_cast<std::int64_t>(adj.size())) {
+    return Status::InvalidArgument("CSR input is not symmetric");
   }
   return Status::Ok();
 }

@@ -12,6 +12,17 @@ void GraphBuilder::AddEdge(VertexId u, VertexId v) {
   if (v >= num_vertices_) num_vertices_ = v + 1;
 }
 
+void GraphBuilder::AddCanonicalEdges(
+    std::span<const std::pair<VertexId, VertexId>> edges) {
+  VertexId top = num_vertices_ - 1;
+  for (const auto& [u, v] : edges) {
+    NUCLEUS_CHECK(0 <= u && u < v);
+    top = std::max(top, v);
+  }
+  edges_.insert(edges_.end(), edges.begin(), edges.end());
+  num_vertices_ = top + 1;
+}
+
 void GraphBuilder::AddEdges(
     const std::vector<std::pair<VertexId, VertexId>>& edges) {
   for (const auto& [u, v] : edges) AddEdge(u, v);
@@ -45,7 +56,9 @@ Graph GraphBuilder::Build() const {
   for (VertexId v = 0; v < n; ++v) {
     const auto begin = adj.begin() + offsets[v];
     const auto end = adj.begin() + offsets[v + 1];
-    std::sort(begin, end);
+    // Lists scattered from input written in sorted order (WriteEdgeList,
+    // most SNAP files) arrive sorted; the check is one pass.
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
     const auto unique_end = std::unique(begin, end);
     if (out != offsets[v]) std::copy(begin, unique_end, adj.begin() + out);
     offsets[v] = out;

@@ -5,12 +5,13 @@
 //
 // Cost contract: AddEdge is amortized O(1) and stores one 8-byte pair per
 // call (duplicates included). Build() is a counting CSR build: O(n + p)
-// time plus a sort of each adjacency list, for p recorded pairs, and it
-// allocates only the output arrays and one array of n fill cursors; the
-// recorded pairs are never copied or globally sorted.
+// time plus a sort of each adjacency list not already sorted, for p
+// recorded pairs, and it allocates only the output arrays and one array of
+// n fill cursors; the recorded pairs are never copied or globally sorted.
 #ifndef NUCLEUS_GRAPH_GRAPH_BUILDER_H_
 #define NUCLEUS_GRAPH_GRAPH_BUILDER_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,10 @@ class GraphBuilder {
   void AddEdge(VertexId u, VertexId v);
 
   void AddEdges(const std::vector<std::pair<VertexId, VertexId>>& edges);
+
+  /// Appends pairs already in the form AddEdge stores (0 <= u < v), as
+  /// one block copy: the edge-list reader's lanes canonicalize in parallel.
+  void AddCanonicalEdges(std::span<const std::pair<VertexId, VertexId>> edges);
 
   /// Ensures the built graph has at least `n` vertices (possibly isolated).
   void EnsureVertex(VertexId v);

@@ -1,9 +1,11 @@
 #include "nucleus/parallel/parallel_fnd.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "nucleus/core/peeling.h"
 #include "nucleus/dsf/concurrent_dsf.h"
 #include "nucleus/parallel/parallel_peel.h"
 #include "nucleus/parallel/thread_pool.h"
@@ -19,7 +21,13 @@ FndResult FastNucleusDecompositionParallel(const Space& space,
   const std::int64_t grain = config.ResolvedGrain();
 
   Timer timer;
-  result.peel = PeelParallel(space, pool, grain);
+  // (1,2) peels with the flat-array Peel, which the wave peel does not
+  // beat at any thread count; the sub-nucleus pass below stays parallel.
+  if constexpr (std::is_same_v<Space, VertexSpace>) {
+    result.peel = Peel(space);
+  } else {
+    result.peel = PeelParallel(space, pool, grain);
+  }
   result.peel_seconds = timer.Seconds();
   timer.Restart();
 

@@ -6,7 +6,8 @@
 // sequential bucket peel. The parallel pipeline decouples them:
 //
 //   1. Wave-parallel peel (parallel_peel.h) — lambda, bit-identical to
-//      Alg. 1.
+//      Alg. 1. (1,2) runs the serial flat-array Peel instead, which the
+//      wave peel does not beat at any thread count.
 //   2. Concurrent sub-nucleus detection: one parallel sweep over all
 //      supercliques. Each K_s is handled by exactly one owner (its
 //      minimum-id member); members at the superclique's minimum lambda m

@@ -22,8 +22,12 @@
 //    processed in any round.
 //
 // Combined with a hierarchy construction — the serial DFT, or the parallel
-// FND in parallel_fnd.h — this parallelizes the dominant phase of every
-// decomposition while keeping output identical.
+// FND in parallel_fnd.h — this parallelizes the dominant phase of the (2,3)
+// and (3,4) decompositions while keeping output identical. The (1,2) peel
+// is linear and memory-bound; its flat-array Peel (core/peeling.h) beats
+// the waves at every thread count, so no pipeline path runs
+// PeelParallel<VertexSpace>. It stays instantiated as a differential
+// reference for the array peel.
 #ifndef NUCLEUS_PARALLEL_PARALLEL_PEEL_H_
 #define NUCLEUS_PARALLEL_PARALLEL_PEEL_H_
 

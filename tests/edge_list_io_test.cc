@@ -1,15 +1,21 @@
 #include "nucleus/graph/edge_list_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nucleus/graph/generators.h"
+#include "nucleus/graph/graph_builder.h"
+#include "nucleus/parallel/parallel_config.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -420,6 +426,198 @@ TEST(WriteEdgeList, FullDeviceIsError) {
 TEST(WriteEdgeList, UnwritablePathIsError) {
   const Graph g = Path(3);
   EXPECT_FALSE(WriteEdgeList(g, "/nonexistent/dir/out.txt").ok());
+}
+
+// ---------------------------------------------------------------------------
+// The reader's lanes. Inputs span several batches (one buffer of
+// kEdgeListChunkBytes, split into one slice per hardware lane), and bad
+// lines sit where slices and batches start, so each check crosses the
+// parallel split and the in-order merge.
+
+int Lanes() { return ParallelConfig::Auto().ResolvedThreads(); }
+
+// The number of the line that starts at byte `at` of `text`.
+std::int64_t LineAt(const std::string& text, std::size_t at) {
+  return std::count(text.begin(),
+                    text.begin() + static_cast<std::ptrdiff_t>(at), '\n') +
+         1;
+}
+
+// Both readers of an edge list: from memory and from a file.
+void ExpectBothRead(const std::string& text, const Graph& expected,
+                    const std::string& name) {
+  const std::string path = TempPath("lanes_" + name + ".txt");
+  WriteFile(path, text);
+  const auto from_file = ReadEdgeList(path);
+  std::remove(path.c_str());
+  const auto from_text = ParseEdgeList(text);
+  for (const auto* got : {&from_file, &from_text}) {
+    ASSERT_TRUE(got->ok()) << name << ": " << got->status().ToString();
+    EXPECT_EQ(CsrOffsets(**got), CsrOffsets(expected)) << name;
+    EXPECT_EQ((*got)->AdjArray(), expected.AdjArray()) << name;
+  }
+}
+
+void ExpectBothFail(const std::string& text, StatusCode code,
+                    const std::string& message, const std::string& name) {
+  const std::string path = TempPath("lanes_" + name + ".txt");
+  WriteFile(path, text);
+  const auto from_file = ReadEdgeList(path);
+  std::remove(path.c_str());
+  const auto from_text = ParseEdgeList(text);
+  for (const auto* got : {&from_file, &from_text}) {
+    ASSERT_FALSE(got->ok()) << name;
+    EXPECT_EQ(got->status().code(), code) << name;
+    EXPECT_EQ(got->status().message(), message) << name;
+  }
+}
+
+// Shuffled lines (so unsorted lists), duplicates in both orientations,
+// self-loops, '#' and '%' comments, blank lines, CRLF, trailing tokens and
+// a missing final newline, over more than two batches: the graph equals
+// GraphBuilder's over the same pairs.
+TEST(EdgeListLanes, NoisyInputOverManyBatchesMatchesGraphBuilder) {
+  std::mt19937_64 rng(2024);
+  const auto below = [&rng](std::uint64_t bound) {
+    return static_cast<VertexId>(rng() % bound);
+  };
+  std::vector<std::pair<VertexId, VertexId>> seen;
+  GraphBuilder builder;
+  std::string text;
+  const std::size_t target = 2 * kEdgeListChunkBytes + kEdgeListChunkBytes / 3;
+  while (text.size() < target) {
+    switch (below(16)) {
+      case 0:
+        text += "# comment " + std::to_string(below(1000)) + "\n";
+        continue;
+      case 1:
+        text += "% comment\r\n";
+        continue;
+      case 2:
+        text += below(2) == 0 ? "\n" : " \t \r\n";
+        continue;
+      default:
+        break;
+    }
+    VertexId u = below(300000);
+    VertexId v = below(300000);
+    const VertexId kind = below(8);
+    if (kind == 0) v = u;  // self-loop
+    if (kind == 1 && !seen.empty()) {  // a duplicate, either orientation
+      std::tie(u, v) = seen[below(seen.size())];
+      if (below(2) == 0) std::swap(u, v);
+    }
+    seen.emplace_back(u, v);
+    builder.AddEdge(u, v);
+    text += std::to_string(u) + (below(2) == 0 ? " " : "\t") +
+            std::to_string(v);
+    if (below(6) == 0) text += " 0.25";
+    text += below(5) == 0 ? "\r\n" : "\n";
+  }
+  text += "7 9";
+  builder.AddEdge(7, 9);
+  ExpectBothRead(text, builder.Build(), "noisy");
+}
+
+TEST(EdgeListLanes, MatrixMarketOverManyBatchesMatchesGraphBuilder) {
+  std::string text =
+      "%%MatrixMarket matrix coordinate pattern symmetric\n% c\n\n9 9 9\n";
+  GraphBuilder builder;
+  std::mt19937_64 rng(7);
+  const std::size_t target = kEdgeListChunkBytes + 3 * kEdgeListChunkBytes / 2;
+  while (text.size() < target) {
+    const VertexId u = static_cast<VertexId>(1 + rng() % 100000);
+    const VertexId v = static_cast<VertexId>(1 + rng() % 100000);
+    text += std::to_string(u) + " " + std::to_string(v) + " 1\n";
+    builder.AddEdge(u - 1, v - 1);
+  }
+  const std::string path = TempPath("lanes_mm.mtx");
+  WriteFile(path, text);
+  const auto g = ReadMatrixMarket(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  const Graph expected = builder.Build();
+  EXPECT_EQ(CsrOffsets(*g), CsrOffsets(expected));
+  EXPECT_EQ(g->AdjArray(), expected.AdjArray());
+}
+
+// A malformed line at the first byte of every slice of the first two
+// batches. Each batch ends exactly on a batch boundary, so slice k of
+// batch b starts at (b + k / L) * kEdgeListChunkBytes.
+TEST(EdgeListLanes, BadLineAtTheFirstByteOfEachSlice) {
+  const std::size_t lanes = static_cast<std::size_t>(Lanes());
+  for (std::size_t batch = 0; batch < 2; ++batch) {
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const std::size_t at = batch * kEdgeListChunkBytes + k * kEdgeListChunkBytes / lanes;
+      std::string text;
+      VertexId next = 0;
+      if (at > 0) AppendPathLinesTo(&text, at, &next);
+      ASSERT_EQ(text.size(), at);
+      text += "12 ab\n";
+      AppendPathLinesTo(&text, (batch + 1) * kEdgeListChunkBytes, &next);
+      AppendPathLinesTo(&text, text.size() + 4096, &next);
+      ExpectBothFail(text, StatusCode::kInvalidArgument,
+                     "malformed edge at line " +
+                         std::to_string(LineAt(text, at)) + ": '12 ab'",
+                     "slice_" + std::to_string(batch) + "_" +
+                         std::to_string(k));
+    }
+  }
+}
+
+// Bad lines in two slices, and in two batches: the earlier one in the file
+// is reported, whatever its kind.
+TEST(EdgeListLanes, EarliestOfTwoBadLinesWins) {
+  const std::size_t lanes = static_cast<std::size_t>(Lanes());
+  const std::size_t first_at = kEdgeListChunkBytes / lanes / 2;
+  // The second bad line starts the last slice of the first batch, or with
+  // one lane the second batch.
+  const std::size_t second_at =
+      lanes > 1 ? (lanes - 1) * kEdgeListChunkBytes / lanes : kEdgeListChunkBytes;
+  std::string text;
+  VertexId next = 0;
+  AppendPathLinesTo(&text, first_at, &next);
+  text += "4 2147483647\n";
+  AppendPathLinesTo(&text, second_at, &next);
+  text += "oops\n";
+  AppendPathLinesTo(&text, 2 * kEdgeListChunkBytes + 4096, &next);
+  ExpectBothFail(text, StatusCode::kOutOfRange,
+                 "vertex id exceeds 2^31-2 at line " +
+                     std::to_string(LineAt(text, first_at)),
+                 "two_bad");
+}
+
+TEST(EdgeListLanes, IdOverLimitInTheLastSlice) {
+  const std::size_t at = kEdgeListChunkBytes - kEdgeListChunkBytes / Lanes() / 4;
+  std::string text;
+  VertexId next = 0;
+  AppendPathLinesTo(&text, at, &next);
+  text += "2147483647 3\n";
+  AppendPathLinesTo(&text, kEdgeListChunkBytes + 4096, &next);
+  ExpectBothFail(text, StatusCode::kOutOfRange,
+                 "vertex id exceeds 2^31-2 at line " +
+                     std::to_string(LineAt(text, at)),
+                 "last_slice");
+}
+
+// Line numbers count from the header, which the reader consumes before the
+// parallel part, together with the comments and the size line.
+TEST(EdgeListLanes, MatrixMarketIndexZeroPastTheFirstBatch) {
+  std::string text =
+      "%%MatrixMarket matrix coordinate pattern general\n% c\n5 5 5\n";
+  VertexId next = 1;
+  AppendPathLinesTo(&text, kEdgeListChunkBytes + 5000, &next);
+  const std::size_t at = text.size();
+  text += "0 3\n";
+  AppendPathLinesTo(&text, text.size() + 4096, &next);
+  const std::string path = TempPath("lanes_mm_zero.mtx");
+  WriteFile(path, text);
+  const auto g = ReadMatrixMarket(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.status().message(), "MatrixMarket index 0 at line " +
+                                      std::to_string(LineAt(text, at)));
 }
 
 }  // namespace

@@ -155,7 +155,8 @@ void Mutate(Csr* c, bool last, std::mt19937_64* rng) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(*rng);
   };
   const std::int64_t m = static_cast<std::int64_t>(c->adj.size());
-  switch (pick(0, 5)) {
+  const std::int64_t mutation = pick(0, 8);
+  switch (mutation) {
     case 0:  // drop one direction
       if (m > 0) c->Erase(pick(0, m - 1));
       break;
@@ -197,6 +198,39 @@ void Mutate(Csr* c, bool last, std::mt19937_64* rng) {
         c->Insert(u, u);
       }
       break;
+    case 6:    // drop one down-entry (w < owner) only
+    case 7: {  // drop one up-entry (w > owner) only
+      std::vector<std::int64_t> entries;
+      for (std::int64_t i = 0; i < m; ++i) {
+        const VertexId u = c->OwnerOf(i);
+        if (c->adj[i] != u && (c->adj[i] < u) == (mutation == 6)) {
+          entries.push_back(i);
+        }
+      }
+      if (!entries.empty()) {
+        c->Erase(entries[pick(0, static_cast<std::int64_t>(entries.size()) -
+                                    1)]);
+      }
+      break;
+    }
+    case 8: {  // move an entry to a list where it points the other way
+      if (m == 0) break;
+      const std::int64_t i = pick(0, m - 1);
+      const VertexId u = c->OwnerOf(i);
+      const VertexId w = c->adj[i];
+      if (w == u) break;
+      // Up-entries move above w (becoming down-entries), down-entries below.
+      const std::int64_t lo = w > u ? w + 1 : 0;
+      const std::int64_t hi = w > u ? n - 1 : w - 1;
+      if (lo > hi) break;
+      const VertexId x = static_cast<VertexId>(pick(lo, hi));
+      const auto begin = c->adj.begin() + c->offsets[x];
+      const auto end = c->adj.begin() + c->offsets[x + 1];
+      if (x == u || std::binary_search(begin, end, w)) break;
+      c->Erase(i);
+      c->Insert(x, w);
+      break;
+    }
     default:  // add one direction of a new edge
       if (n >= 2) {
         const VertexId u = static_cast<VertexId>(pick(0, n - 1));
@@ -254,6 +288,9 @@ TEST(ValidateCsr, NamesTheViolatedRule) {
   EXPECT_NE(message({0, 2, 3, 4}, {2, 1, 0, 0}).find("strictly increasing"),
             std::string::npos);
   EXPECT_NE(message({0, 1, 1}, {1}).find("not symmetric"), std::string::npos);
+  // A down-entry with no up-entry: the half walk matches nothing, and only
+  // the up/down count tells.
+  EXPECT_NE(message({0, 0, 1}, {0}).find("not symmetric"), std::string::npos);
 }
 
 TEST(GraphBuilder, DropsSelfLoopsAndDuplicates) {

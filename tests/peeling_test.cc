@@ -1,7 +1,15 @@
 #include "nucleus/core/peeling.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "nucleus/core/decomposition.h"
+#include "nucleus/core/generic_space.h"
+#include "nucleus/parallel/parallel_peel.h"
+#include "nucleus/store/snapshot.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -172,6 +180,109 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PeelZooTest, ::testing::ValuesIn(GraphZoo()),
                          [](const ::testing::TestParamInfo<GraphCase>& info) {
                            return info.param.name;
                          });
+
+// --- The flat-array (1,2) peel against every other peel -------------------
+//
+// Decompose runs Peel<VertexSpace> at every thread count, so these checks,
+// not a serial-vs-threaded comparison, carry (1,2) lambda correctness: the
+// definitional fixpoint, the generic bucket-queue peel (on GenericSpace's
+// materialized (1,2) space) and the wave peel must all agree with it.
+
+void ExpectArrayPeelMatchesOtherPeels(const Graph& g, bool with_reference) {
+  const VertexSpace space(g);
+  const PeelResult array = Peel(space);
+  Lambda max_lambda = 0;
+  for (Lambda l : array.lambda) max_lambda = std::max(max_lambda, l);
+  EXPECT_EQ(array.max_lambda, max_lambda);
+  if (with_reference) {
+    EXPECT_EQ(array.lambda, ReferenceLambda(space));
+  }
+  const PeelResult generic = Peel(GenericSpace::Build(g, 1, 2));
+  EXPECT_EQ(array.lambda, generic.lambda);
+  EXPECT_EQ(array.max_lambda, generic.max_lambda);
+  for (const int threads : {2, 4}) {
+    ParallelConfig config = ParallelConfig::WithThreads(threads);
+    config.grain_size = 64;
+    const PeelResult wave = PeelParallel(space, config);
+    EXPECT_EQ(array.lambda, wave.lambda) << "threads=" << threads;
+    EXPECT_EQ(array.max_lambda, wave.max_lambda) << "threads=" << threads;
+  }
+}
+
+TEST_P(PeelZooTest, ArrayPeelMatchesGenericAndWavePeels) {
+  ExpectArrayPeelMatchesOtherPeels(GetParam().make(), true);
+}
+
+// A few thousand vertices, with isolated ones: RMat leaves ids unused, and
+// the trailing ones are added explicitly.
+std::vector<GraphCase> LargerCoreCases() {
+  const auto with_isolated = [](const Graph& g) {
+    GraphBuilder b(g.NumVertices() + 25);
+    g.ForEachEdge([&b](VertexId u, VertexId v) { b.AddEdge(u, v); });
+    return b.Build();
+  };
+  return {
+      {"rmat_12", [] { return RMat(12, 20000, .57, .19, .19, 3); }},
+      {"rmat_13_isolated",
+       [=] { return with_isolated(RMat(13, 30000, .57, .19, .19, 5)); }},
+      {"ba_3000_4", [] { return BarabasiAlbert(3000, 4, 7); }},
+      {"ba_2000_9_isolated",
+       [=] { return with_isolated(BarabasiAlbert(2000, 9, 11)); }},
+  };
+}
+
+class ArrayPeel : public ::testing::TestWithParam<GraphCase> {};
+
+TEST_P(ArrayPeel, MatchesReferenceGenericAndWavePeels) {
+  ExpectArrayPeelMatchesOtherPeels(GetParam().make(), true);
+}
+
+// (1,2) Decompose writes the same .nucsnap bytes (bar the algorithm field)
+// for DFT, FND and LCPS at every thread count.
+TEST_P(ArrayPeel, CoreSnapshotBytesIdenticalAcrossThreadsAndAlgorithms) {
+  const Graph g = GetParam().make();
+  std::string first;
+  for (const Algorithm algorithm :
+       {Algorithm::kDft, Algorithm::kFnd, Algorithm::kLcps}) {
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message() << AlgorithmName(algorithm)
+                                        << " threads=" << threads);
+      DecomposeOptions options;
+      options.family = Family::kCore12;
+      options.algorithm = algorithm;
+      options.parallel = ParallelConfig::WithThreads(threads);
+      const std::string bytes = testing_util::SavedBytesSansAlgorithm(
+          MakeSnapshot(g, options, Decompose(g, options), false),
+          "array_peel_" + GetParam().name + "_" + AlgorithmName(algorithm) +
+              "_t" + std::to_string(threads));
+      if (first.empty()) {
+        first = bytes;
+      } else {
+        EXPECT_EQ(bytes, first);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, ArrayPeel,
+                         ::testing::ValuesIn(LargerCoreCases()),
+                         [](const ::testing::TestParamInfo<GraphCase>& info) {
+                           return info.param.name;
+                         });
+
+TEST(ArrayPeelEdgeCases, EmptyGraph) {
+  const PeelResult r = Peel(VertexSpace(Graph()));
+  EXPECT_TRUE(r.lambda.empty());
+  EXPECT_EQ(r.max_lambda, 0);
+}
+
+TEST(ArrayPeelEdgeCases, IsolatedVerticesOnly) {
+  const Graph g = GraphBuilder(40).Build();
+  const PeelResult r = Peel(VertexSpace(g));
+  EXPECT_EQ(r.lambda, std::vector<Lambda>(40, 0));
+  EXPECT_EQ(r.max_lambda, 0);
+  ExpectArrayPeelMatchesOtherPeels(g, true);
+}
 
 }  // namespace
 }  // namespace nucleus
