@@ -29,25 +29,19 @@ double SortedBuildSeconds(FndPeelState state) {
                      return skeleton.LambdaOf(a.second) >
                             skeleton.LambdaOf(b.second);
                    });
-  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
+  // Sorted by decreasing lower-side lambda, so each level's bin is the next
+  // run of the sorted pairs.
   std::size_t i = 0;
-  while (i < state.adj.size()) {
-    const Lambda level = skeleton.LambdaOf(state.adj[i].second);
-    merge.clear();
-    for (; i < state.adj.size() &&
-           skeleton.LambdaOf(state.adj[i].second) == level;
-         ++i) {
-      const std::int32_t s = skeleton.FindRoot(state.adj[i].first);
-      const std::int32_t t = skeleton.FindRoot(state.adj[i].second);
-      if (s == t) continue;
-      if (skeleton.LambdaOf(s) > skeleton.LambdaOf(t)) {
-        skeleton.AttachChild(s, t);
-      } else {
-        merge.emplace_back(s, t);
-      }
-    }
-    for (const auto& [s, t] : merge) skeleton.UnionR(s, t);
-  }
+  const Status status = internal::ConsumeBins(
+      state.peel.max_lambda, &skeleton, [&](Lambda level, auto&& visit) {
+        for (; i < state.adj.size() &&
+               skeleton.LambdaOf(state.adj[i].second) == level;
+             ++i) {
+          visit(state.adj[i].first, state.adj[i].second);
+        }
+        return Status::Ok();
+      });
+  NUCLEUS_CHECK(status.ok());
   return timer.Seconds();
 }
 

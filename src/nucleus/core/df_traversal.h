@@ -117,11 +117,7 @@ SkeletonBuild DfTraversal(const Space& space, const PeelResult& peel) {
     }
   }
 
-  build.num_subnuclei = build.skeleton.NumNodes();
-  build.root_id = build.skeleton.AddNode(kRootLambda);
-  for (std::int32_t s = 0; s < build.root_id; ++s) {
-    if (!build.skeleton.HasParent(s)) build.skeleton.SetParent(s, build.root_id);
-  }
+  build.AddRoot();
   return build;
 }
 

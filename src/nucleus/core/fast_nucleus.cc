@@ -10,46 +10,25 @@ void BuildHierarchy(
   std::vector<std::int64_t> bin(max_lambda + 2, 0);
   for (const auto& [s, t] : adj) ++bin[skeleton->LambdaOf(t) + 1];
   for (Lambda l = 0; l <= max_lambda; ++l) bin[l + 1] += bin[l];
-  std::vector<std::int32_t> binned_s(adj.size());
-  std::vector<std::int32_t> binned_t(adj.size());
-  {
-    std::vector<std::int64_t> fill(bin.begin(), bin.end() - 1);
-    for (const auto& [s, t] : adj) {
-      const std::int64_t p = fill[skeleton->LambdaOf(t)]++;
-      binned_s[p] = s;
-      binned_t[p] = t;
-    }
-  }
+  std::vector<std::pair<std::int32_t, std::int32_t>> binned(adj.size());
+  std::vector<std::int64_t> fill(bin.begin(), bin.end() - 1);
+  for (const auto& p : adj) binned[fill[skeleton->LambdaOf(p.second)]++] = p;
 
-  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
-  for (Lambda level = max_lambda; level >= 0; --level) {
-    merge.clear();
-    for (std::int64_t i = bin[level]; i < bin[level + 1]; ++i) {
-      const std::int32_t s = skeleton->FindRoot(binned_s[i]);
-      const std::int32_t t = skeleton->FindRoot(binned_t[i]);
-      if (s == t) continue;
-      NUCLEUS_CHECK(skeleton->LambdaOf(t) == level);
-      NUCLEUS_CHECK(skeleton->LambdaOf(s) >= level);
-      if (skeleton->LambdaOf(s) > skeleton->LambdaOf(t)) {
-        skeleton->AttachChild(s, t);
-      } else {
-        merge.emplace_back(s, t);
-      }
-    }
-    for (const auto& [s, t] : merge) skeleton->UnionR(s, t);
-  }
+  const Status status = ConsumeBins(
+      max_lambda, skeleton, [&](Lambda level, auto&& visit) {
+        for (std::int64_t i = bin[level]; i < bin[level + 1]; ++i) {
+          visit(binned[i].first, binned[i].second);
+        }
+        return Status::Ok();
+      });
+  NUCLEUS_CHECK(status.ok());
 }
 
 void FinishSkeleton(
     const std::vector<std::pair<std::int32_t, std::int32_t>>& adj,
     Lambda max_lambda, SkeletonBuild* build) {
-  HierarchySkeleton& skeleton = build->skeleton;
-  BuildHierarchy(adj, max_lambda, &skeleton);
-  build->num_subnuclei = skeleton.NumNodes();
-  build->root_id = skeleton.AddNode(kRootLambda);
-  for (std::int32_t s = 0; s < build->root_id; ++s) {
-    if (!skeleton.HasParent(s)) skeleton.SetParent(s, build->root_id);
-  }
+  BuildHierarchy(adj, max_lambda, &build->skeleton);
+  build->AddRoot();
 }
 
 }  // namespace internal

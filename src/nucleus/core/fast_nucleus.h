@@ -20,6 +20,7 @@
 #include "nucleus/core/spaces.h"
 #include "nucleus/core/types.h"
 #include "nucleus/util/bucket_queue.h"
+#include "nucleus/util/status.h"
 #include "nucleus/util/timer.h"
 
 namespace nucleus {
@@ -48,15 +49,42 @@ struct FndPeelState {
 
 namespace internal {
 
-/// Alg. 9. Bins the ADJ pairs by the smaller-side lambda and processes bins
-/// in decreasing order, attaching resolved higher-lambda roots under
-/// lower-lambda ones and merging equal-lambda roots after each bin.
+/// Alg. 9's level loop. For each level from max_lambda down to 0,
+/// `scan_bin(level, visit)` calls visit(s, t) on every ADJ pair whose lower
+/// side t has lambda `level` and returns a Status (a failure stops the loop).
+/// Higher-lambda roots attach under t; equal ones merge after the level.
+template <typename ScanBin>
+Status ConsumeBins(Lambda max_lambda, HierarchySkeleton* skeleton,
+                   ScanBin&& scan_bin) {
+  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
+  for (Lambda level = max_lambda; level >= 0; --level) {
+    merge.clear();
+    Status status = scan_bin(level, [&](std::int32_t s0, std::int32_t t0) {
+      const std::int32_t s = skeleton->FindRoot(s0);
+      const std::int32_t t = skeleton->FindRoot(t0);
+      if (s == t) return;
+      NUCLEUS_CHECK(skeleton->LambdaOf(t) == level);
+      NUCLEUS_CHECK(skeleton->LambdaOf(s) >= level);
+      if (skeleton->LambdaOf(s) > level) {
+        skeleton->AttachChild(s, t);
+      } else {
+        merge.emplace_back(s, t);  // equal lambda: same nucleus
+      }
+    });
+    if (!status.ok()) return status;
+    for (const auto& [s, t] : merge) skeleton->UnionR(s, t);
+  }
+  return Status::Ok();
+}
+
+/// Alg. 9 over in-memory ADJ pairs: a counting sort by the lower side's
+/// lambda, then ConsumeBins over the bins.
 void BuildHierarchy(const std::vector<std::pair<std::int32_t, std::int32_t>>& adj,
                     Lambda max_lambda, HierarchySkeleton* skeleton);
 
 /// The shared FND epilogue (serial and parallel pipelines): BuildHierarchy
-/// over `adj`, sub-nucleus count, artificial root, and tying parentless
-/// nodes to it. `build->skeleton` and `build->comp` must already be set.
+/// over `adj`, then SkeletonBuild::AddRoot. `build->skeleton` and
+/// `build->comp` must already be set.
 void FinishSkeleton(
     const std::vector<std::pair<std::int32_t, std::int32_t>>& adj,
     Lambda max_lambda, SkeletonBuild* build);

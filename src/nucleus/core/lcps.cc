@@ -13,7 +13,6 @@ SkeletonBuild LcpsKCoreHierarchy(const Graph& g, const PeelResult& peel) {
   const std::vector<Lambda>& lambda = peel.lambda;
   build.comp.assign(n, kInvalidId);
   HierarchySkeleton& skeleton = build.skeleton;
-  build.root_id = skeleton.AddNode(kRootLambda);
 
   std::vector<char> visited(n, 0);
 
@@ -24,7 +23,7 @@ SkeletonBuild LcpsKCoreHierarchy(const Graph& g, const PeelResult& peel) {
   for (VertexId start = 0; start < n; ++start) {
     if (visited[start]) continue;
     frontier.Push(start, lambda[start]);
-    std::int32_t cursor = build.root_id;
+    std::int32_t cursor = kInvalidId;  // the root, which AddRoot appends
     Lambda cursor_level = kRootLambda;
 
     while (!frontier.Empty()) {
@@ -33,7 +32,8 @@ SkeletonBuild LcpsKCoreHierarchy(const Graph& g, const PeelResult& peel) {
       if (visited[v]) continue;  // a stale lower-priority duplicate
       visited[v] = 1;
 
-      // Climb to the level the search reached v at...
+      // Climb to the level the search reached v at (never below level 0:
+      // priorities are lambdas, so >= 0)...
       while (cursor_level > priority) {
         cursor = skeleton.Parent(cursor);
         --cursor_level;
@@ -41,7 +41,7 @@ SkeletonBuild LcpsKCoreHierarchy(const Graph& g, const PeelResult& peel) {
       // ...then descend to v's own lambda, opening one node per level.
       while (cursor_level < lambda[v]) {
         const std::int32_t child = skeleton.AddNode(cursor_level + 1);
-        skeleton.SetParent(child, cursor);
+        if (cursor != kInvalidId) skeleton.SetParent(child, cursor);
         cursor = child;
         ++cursor_level;
       }
@@ -54,7 +54,7 @@ SkeletonBuild LcpsKCoreHierarchy(const Graph& g, const PeelResult& peel) {
       }
     }
   }
-  build.num_subnuclei = skeleton.NumNodes() - 1;
+  build.AddRoot();
   return build;
 }
 

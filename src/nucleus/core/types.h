@@ -33,6 +33,16 @@ struct SkeletonBuild {
   /// Number of sub-nuclei (skeleton nodes excluding the artificial root).
   /// For FND these are the non-maximal T*_{r,s} of Table 3.
   std::int64_t num_subnuclei = 0;
+
+  /// Closes a complete skeleton: records num_subnuclei and appends the
+  /// artificial root (kRootLambda) as parent of every parentless node.
+  void AddRoot() {
+    num_subnuclei = skeleton.NumNodes();
+    root_id = skeleton.AddNode(kRootLambda);
+    for (std::int32_t s = 0; s < root_id; ++s) {
+      if (!skeleton.HasParent(s)) skeleton.SetParent(s, root_id);
+    }
+  }
 };
 
 }  // namespace nucleus

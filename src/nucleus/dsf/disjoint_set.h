@@ -1,5 +1,6 @@
 // Standard disjoint-set forest with union-by-rank and two-pass path
 // compression — the paper's Alg. 4. Used by the TCP index's Kruskal runs,
+// the semi-external hierarchy build (em/pair_file.h BuildSpilledSkeleton),
 // the test-suite reference implementations, and generators.
 #ifndef NUCLEUS_DSF_DISJOINT_SET_H_
 #define NUCLEUS_DSF_DISJOINT_SET_H_

@@ -10,8 +10,9 @@
 //             root pointers only, leaving parent (the reported hierarchy)
 //             untouched.
 //
-// Both DF-Traversal (Alg. 5/6) and FastNucleusDecomposition (Alg. 8/9)
-// build one of these; NucleusHierarchy contracts it into the final tree.
+// DF-Traversal (Alg. 5/6), FND (Alg. 8/9 via internal::ConsumeBins), LCPS
+// and the semi-external builds (em/pair_file.h) build one of these;
+// NucleusHierarchy contracts it into the final tree.
 #ifndef NUCLEUS_DSF_ROOT_FOREST_H_
 #define NUCLEUS_DSF_ROOT_FOREST_H_
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "nucleus/graph/binary_io.h"
 
@@ -85,7 +86,31 @@ Status AdjacencyFile::ScanVertices(
     return Status::Ok();
   };
 
+  // The lists come from disk, so they are checked before f sees them: ids
+  // in [0, n), strictly increasing, no self-loop, and (over the whole scan)
+  // as many entries u < v as u > v, which a symmetric graph has.
   const VertexId n = NumVertices();
+  std::int64_t forward = 0;
+  std::int64_t backward = 0;
+  auto check = [&](VertexId v, std::span<const VertexId> list) -> Status {
+    VertexId prev = -1;
+    for (VertexId w : list) {
+      if (w < 0 || w >= n || w <= prev || w == v) {
+        const std::string fault =
+            w < 0 || w >= n ? "neighbour " + std::to_string(w) +
+                                  " outside [0, " + std::to_string(n) + ")"
+            : w <= prev     ? "neighbour list not strictly increasing"
+                            : "self-loop";
+        return Status::InvalidArgument("corrupt adjacency in " + path_ +
+                                       ": vertex " + std::to_string(v) +
+                                       ": " + fault);
+      }
+      ++(w > v ? forward : backward);
+      prev = w;
+    }
+    return Status::Ok();
+  };
+
   for (VertexId v = 0; v < n; ++v) {
     const std::size_t deg = static_cast<std::size_t>(Degree(v));
     if (deg == 0) {
@@ -96,7 +121,9 @@ Status AdjacencyFile::ScanVertices(
       if (Status s = refill(); !s.ok()) return s;
     }
     if (available() >= deg) {
-      f(v, {buffer_.data() + buf_pos, deg});
+      const std::span<const VertexId> list(buffer_.data() + buf_pos, deg);
+      if (Status s = check(v, list); !s.ok()) return s;
+      f(v, list);
       buf_pos += deg;
     } else {
       // List longer than the block: assemble it in the scratch buffer
@@ -112,9 +139,16 @@ Status AdjacencyFile::ScanVertices(
       stats_.bytes_read += static_cast<std::int64_t>(need * sizeof(VertexId));
       buffer_.clear();
       buf_pos = 0;
-      f(v, {scratch_.data(), deg});
+      if (Status s = check(v, scratch_); !s.ok()) return s;
+      f(v, scratch_);
     }
     consumed += static_cast<std::int64_t>(deg);
+  }
+  if (forward != backward) {
+    return Status::InvalidArgument(
+        "corrupt adjacency in " + path_ + ": asymmetric, " +
+        std::to_string(forward) + " entries u < v against " +
+        std::to_string(backward) + " entries u > v");
   }
   return Status::Ok();
 }

@@ -61,6 +61,9 @@ class AdjacencyFile {
   /// One sequential pass over the adjacency array. Calls
   /// f(v, neighbors-of-v) for every vertex in increasing id order
   /// (isolated vertices included, with an empty span). Counts as one scan.
+  /// A list with an id outside [0, n), out of order or naming v itself
+  /// stops the scan before f sees it, and a scan whose entries u < v and
+  /// u > v differ in number fails at its end: both return InvalidArgument.
   Status ScanVertices(
       const std::function<void(VertexId, std::span<const VertexId>)>& f);
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "nucleus/core/fast_nucleus.h"
+#include "nucleus/dsf/disjoint_set.h"
+#include "nucleus/util/scratch.h"
+
 namespace nucleus {
 
 StatusOr<PairFile> PairFile::Create(const std::string& path,
@@ -156,6 +160,80 @@ StatusOr<PairFile> PairFile::SortByBin(
     return Status::Internal("flush failed for " + out_path);
   }
   return out;
+}
+
+Status BuildSpilledSkeleton(const PeelResult& peel, const std::string& temp_dir,
+                            const std::function<Status(const KsSink&)>& scan,
+                            SkeletonBuild* build, std::int64_t* num_adj,
+                            EmIoStats* io) {
+  const std::vector<Lambda>& lambda = peel.lambda;
+  const std::int64_t n = static_cast<std::int64_t>(lambda.size());
+  const std::string spill_path = UniqueScratchPath(temp_dir, "em_adj", ".pairs");
+  const std::string sorted_path =
+      UniqueScratchPath(temp_dir, "em_adj_sorted", ".pairs");
+  // Declared before the PairFiles so the scratch files are closed before
+  // they are removed, on success and on every early-error return.
+  ScratchFileRemover spill_cleanup(spill_path);
+  ScratchFileRemover sorted_cleanup(sorted_path);
+  auto spill_or = PairFile::Create(spill_path);
+  if (!spill_or.ok()) return spill_or.status();
+  PairFile spill = std::move(*spill_or);
+
+  DisjointSet sets(n);
+  Status append_status = Status::Ok();
+  Status scan_status = scan([&](std::span<const std::int32_t> members) {
+    if (!append_status.ok()) return;
+    std::int32_t min_member = members[0];
+    for (std::int32_t x : members) {
+      if (lambda[x] < lambda[min_member]) min_member = x;
+    }
+    for (std::int32_t x : members) {
+      if (lambda[x] == lambda[min_member]) {
+        sets.Union(x, min_member);
+      } else {
+        append_status = spill.Append(x, min_member);
+        if (!append_status.ok()) return;
+      }
+    }
+  });
+  if (!scan_status.ok()) return scan_status;
+  if (!append_status.ok()) return append_status;
+  if (Status s = spill.Flush(); !s.ok()) return s;
+  *num_adj = spill.NumPairs();
+
+  // One skeleton node per component, numbered by first member; comp maps
+  // every K_r to its node, so the skeleton build is total.
+  build->comp.assign(n, kInvalidId);
+  std::vector<std::int32_t> node_of_root(n, kInvalidId);
+  for (std::int32_t x = 0; x < n; ++x) {
+    const std::int32_t r = sets.Find(x);
+    if (node_of_root[r] == kInvalidId) {
+      node_of_root[r] = build->skeleton.AddNode(lambda[x]);
+    }
+    build->comp[x] = node_of_root[r];
+  }
+
+  std::vector<std::int64_t> bin_begin;
+  auto sorted_or = spill.SortByBin(
+      [&lambda](std::int32_t /*hi*/, std::int32_t lo) { return lambda[lo]; },
+      peel.max_lambda + 1, sorted_path, &bin_begin);
+  if (!sorted_or.ok()) return sorted_or.status();
+  PairFile sorted = std::move(*sorted_or);
+
+  Status consumed = internal::ConsumeBins(
+      peel.max_lambda, &build->skeleton, [&](Lambda level, auto&& visit) {
+        return sorted.ScanRange(
+            bin_begin[level], bin_begin[level + 1],
+            [&](std::int32_t hi, std::int32_t lo) {
+              visit(build->comp[hi], build->comp[lo]);
+            });
+      });
+  if (!consumed.ok()) return consumed;
+  build->AddRoot();
+
+  io->Add(spill.stats());
+  io->Add(sorted.stats());
+  return Status::Ok();
 }
 
 }  // namespace nucleus

@@ -1,6 +1,6 @@
 // Append-only spill file of int32 pairs with block-buffered scans and a
 // two-pass external counting sort — the disk-side ADJ list of the
-// semi-external hierarchy construction.
+// semi-external hierarchy construction, which BuildSpilledSkeleton runs.
 //
 // The paper's FND (Alg. 8) keeps its ADJ list of inter-sub-nucleus
 // connections in memory; in the external-memory model that list (up to
@@ -16,9 +16,11 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "nucleus/core/types.h"
 #include "nucleus/em/adjacency_file.h"
 #include "nucleus/util/status.h"
 
@@ -78,6 +80,19 @@ class PairFile {
   std::vector<std::int32_t> write_buffer_;  // flattened (a, b) pairs
   EmIoStats stats_;
 };
+
+/// Receives one K_s as the array of its K_r member ids.
+using KsSink = std::function<void(std::span<const std::int32_t>)>;
+
+/// The semi-external hierarchy assembly over final lambdas. `scan` feeds
+/// every K_s once: members at its minimum lambda are united (the components
+/// are the maximal sub-nuclei), the others spill as (member, min) ADJ
+/// pairs, which are sorted by bin on disk and consumed by Alg. 9. Spill
+/// files in `temp_dir` are removed on every return.
+Status BuildSpilledSkeleton(const PeelResult& peel, const std::string& temp_dir,
+                            const std::function<Status(const KsSink&)>& scan,
+                            SkeletonBuild* build, std::int64_t* num_adj,
+                            EmIoStats* io);
 
 }  // namespace nucleus
 

@@ -1,11 +1,8 @@
 #include "nucleus/em/semi_external_core.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "nucleus/dsf/disjoint_set.h"
 #include "nucleus/em/pair_file.h"
-#include "nucleus/util/scratch.h"
 
 namespace nucleus {
 namespace {
@@ -85,91 +82,23 @@ StatusOr<SemiExternalResult> SemiExternalCoreDecomposition(
   auto lambda_or = SemiExternalCoreLambda(graph, &result.lambda_passes);
   if (!lambda_or.ok()) return lambda_or.status();
   result.peel = std::move(*lambda_or);
-  const std::vector<Lambda>& lambda = result.peel.lambda;
-  const VertexId n = graph.NumVertices();
 
-  // One edge scan: equal-lambda endpoints are unioned (components become
-  // the maximal sub-cores T_{1,2}); lambda-crossing edges spill to disk as
-  // (higher-lambda vertex, lower-lambda vertex) ADJ pairs.
-  const std::string spill_path = UniqueScratchPath(temp_dir, "em_adj", ".pairs");
-  const std::string sorted_path =
-      UniqueScratchPath(temp_dir, "em_adj_sorted", ".pairs");
-  // Declared before the PairFiles so the scratch files are closed before
-  // they are removed, on success and on every early-error return.
-  ScratchFileRemover spill_cleanup(spill_path);
-  ScratchFileRemover sorted_cleanup(sorted_path);
-  auto spill_or = PairFile::Create(spill_path);
-  if (!spill_or.ok()) return spill_or.status();
-  PairFile spill = std::move(*spill_or);
-
-  DisjointSet vertex_sets(n);
-  Status append_status = Status::Ok();
-  Status scan = graph.ScanEdges([&](VertexId u, VertexId v) {
-    if (!append_status.ok()) return;
-    if (lambda[u] == lambda[v]) {
-      vertex_sets.Union(u, v);
-    } else if (lambda[u] > lambda[v]) {
-      append_status = spill.Append(u, v);
-    } else {
-      append_status = spill.Append(v, u);
-    }
-  });
-  if (!scan.ok()) return scan;
-  if (!append_status.ok()) return append_status;
-  if (Status s = spill.Flush(); !s.ok()) return s;
-  result.num_adj = spill.NumPairs();
-
-  // Skeleton nodes: one per sub-core (disjoint-set component). comp maps
-  // every vertex to its node, so the skeleton build is total.
-  SkeletonBuild& build = result.build;
-  build.comp.assign(n, kInvalidId);
-  std::vector<std::int32_t> node_of_root(n, kInvalidId);
-  for (VertexId v = 0; v < n; ++v) {
-    const std::int32_t r = vertex_sets.Find(v);
-    if (node_of_root[r] == kInvalidId) {
-      node_of_root[r] = build.skeleton.AddNode(lambda[v]);
-    }
-    build.comp[v] = node_of_root[r];
+  // One edge scan: each edge is a K_s with two members, so equal-lambda
+  // endpoints are unioned (components become the maximal sub-cores T_{1,2})
+  // and lambda-crossing edges spill as (higher, lower) ADJ pairs.
+  if (Status s = BuildSpilledSkeleton(
+          result.peel, temp_dir,
+          [&graph](const KsSink& sink) {
+            return graph.ScanEdges([&sink](VertexId u, VertexId v) {
+              const std::int32_t members[2] = {u, v};
+              sink(members);
+            });
+          },
+          &result.build, &result.num_adj, &result.io);
+      !s.ok()) {
+    return s;
   }
-
-  // External BuildHierarchy (Alg. 9): counting-sort the spilled pairs by
-  // the lower endpoint's lambda, then consume bins in decreasing order.
-  const std::int32_t num_bins = result.peel.max_lambda + 1;
-  std::vector<std::int64_t> bin_begin;
-  auto sorted_or = spill.SortByBin(
-      [&lambda](std::int32_t /*hi*/, std::int32_t lo) { return lambda[lo]; },
-      num_bins, sorted_path, &bin_begin);
-  if (!sorted_or.ok()) return sorted_or.status();
-  PairFile sorted = std::move(*sorted_or);
-
-  HierarchySkeleton& skeleton = build.skeleton;
-  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
-  for (Lambda k = result.peel.max_lambda; k >= 0; --k) {
-    merge.clear();
-    Status bin_scan = sorted.ScanRange(
-        bin_begin[k], bin_begin[k + 1], [&](std::int32_t hi, std::int32_t lo) {
-          const std::int32_t s = skeleton.FindRoot(build.comp[hi]);
-          const std::int32_t t = skeleton.FindRoot(build.comp[lo]);
-          if (s == t) return;
-          if (skeleton.LambdaOf(s) > skeleton.LambdaOf(t)) {
-            skeleton.AttachChild(s, t);
-          } else {
-            merge.emplace_back(s, t);  // equal lambda: same nucleus
-          }
-        });
-    if (!bin_scan.ok()) return bin_scan;
-    for (const auto& [s, t] : merge) skeleton.UnionR(s, t);
-  }
-
-  build.num_subnuclei = skeleton.NumNodes();
-  build.root_id = skeleton.AddNode(kRootLambda);
-  for (std::int32_t s = 0; s < build.root_id; ++s) {
-    if (!skeleton.HasParent(s)) skeleton.SetParent(s, build.root_id);
-  }
-
   result.io.Add(graph.stats());
-  result.io.Add(spill.stats());
-  result.io.Add(sorted.stats());
   return result;
 }
 

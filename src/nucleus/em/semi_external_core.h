@@ -25,10 +25,10 @@
 //     components are exactly the maximal sub-cores T_{1,2} (Def. 5) — and
 //     (b) spill each lambda-crossing edge to disk as an ADJ pair. An
 //     external counting sort groups the spilled pairs by the smaller
-//     endpoint's lambda, and BuildHierarchy (Alg. 9) consumes the bins in
-//     decreasing order through the root-forest (Alg. 7), never touching the
-//     graph again. No BFS traversal — which in external memory would be
-//     prohibitively random — ever happens.
+//     endpoint's lambda, and Alg. 9 consumes the bins in decreasing order
+//     through the root-forest, never touching the graph again: the edges go
+//     as 2-member K_s's to BuildSpilledSkeleton (em/pair_file.h), which the
+//     truss build shares. No BFS traversal, random on disk, ever happens.
 #ifndef NUCLEUS_EM_SEMI_EXTERNAL_CORE_H_
 #define NUCLEUS_EM_SEMI_EXTERNAL_CORE_H_
 

@@ -1,11 +1,8 @@
 #include "nucleus/em/semi_external_truss.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "nucleus/dsf/disjoint_set.h"
 #include "nucleus/em/pair_file.h"
-#include "nucleus/util/scratch.h"
 
 namespace nucleus {
 namespace {
@@ -72,21 +69,27 @@ Status ScanTriangles(AdjacencyFile& graph, const EdgeTable& table, F&& f) {
   });
 }
 
-}  // namespace
-
-StatusOr<std::vector<std::int32_t>> SemiExternalTriangleSupports(
-    AdjacencyFile& graph) {
-  auto table = LoadEdgeTable(graph);
-  if (!table.ok()) return table.status();
-  std::vector<std::int32_t> supports(table->endpoints.size(), 0);
-  Status scan = ScanTriangles(graph, *table, [&](EdgeId a, EdgeId b,
-                                                 EdgeId c) {
+/// Support (triangle count) of every edge of `table` in one triangle scan.
+StatusOr<std::vector<std::int32_t>> CountSupports(AdjacencyFile& graph,
+                                                  const EdgeTable& table) {
+  std::vector<std::int32_t> supports(table.endpoints.size(), 0);
+  Status scan = ScanTriangles(graph, table, [&](EdgeId a, EdgeId b,
+                                                EdgeId c) {
     ++supports[a];
     ++supports[b];
     ++supports[c];
   });
   if (!scan.ok()) return scan;
   return supports;
+}
+
+}  // namespace
+
+StatusOr<std::vector<std::int32_t>> SemiExternalTriangleSupports(
+    AdjacencyFile& graph) {
+  auto table = LoadEdgeTable(graph);
+  if (!table.ok()) return table.status();
+  return CountSupports(graph, *table);
 }
 
 StatusOr<SemiExternalTrussResult> SemiExternalTrussDecomposition(
@@ -97,16 +100,9 @@ StatusOr<SemiExternalTrussResult> SemiExternalTrussDecomposition(
   const EdgeTable& table = *table_or;
   const std::int64_t m = static_cast<std::int64_t>(table.endpoints.size());
 
-  std::vector<std::int32_t> supports(m, 0);
-  if (Status s = ScanTriangles(graph, table,
-                               [&](EdgeId a, EdgeId b, EdgeId c) {
-                                 ++supports[a];
-                                 ++supports[b];
-                                 ++supports[c];
-                               });
-      !s.ok()) {
-    return s;
-  }
+  auto supports_or = CountSupports(graph, table);
+  if (!supports_or.ok()) return supports_or.status();
+  std::vector<std::int32_t>& supports = *supports_or;
 
   // Wave-synchronous peel. States: 2 = alive, 1 = dying this wave,
   // 0 = dead (lambda final).
@@ -158,97 +154,23 @@ StatusOr<SemiExternalTrussResult> SemiExternalTrussDecomposition(
         std::max(result.peel.max_lambda, result.peel.lambda[e]);
   }
 
-  // Hierarchy in one more triangle scan: union the minimum-lambda edges of
-  // every triangle (strong triangle connectivity, Definition 5); spill
-  // (higher-lambda edge, min-edge) ADJ pairs for the binned build.
-  const std::vector<Lambda>& lambda = result.peel.lambda;
-  const std::string spill_path =
-      UniqueScratchPath(temp_dir, "em_truss_adj", ".pairs");
-  const std::string sorted_path =
-      UniqueScratchPath(temp_dir, "em_truss_adj_sorted", ".pairs");
-  // Declared before the PairFiles so the scratch files are closed before
-  // they are removed, on success and on every early-error return.
-  ScratchFileRemover spill_cleanup(spill_path);
-  ScratchFileRemover sorted_cleanup(sorted_path);
-  auto spill_or = PairFile::Create(spill_path);
-  if (!spill_or.ok()) return spill_or.status();
-  PairFile spill = std::move(*spill_or);
-
-  DisjointSet edge_sets(m);
-  Status append_status = Status::Ok();
-  if (Status s = ScanTriangles(
-          graph, table,
-          [&](EdgeId a, EdgeId b, EdgeId c) {
-            if (!append_status.ok()) return;
-            const EdgeId edges[3] = {a, b, c};
-            EdgeId min_edge = a;
-            for (EdgeId e : edges) {
-              if (lambda[e] < lambda[min_edge]) min_edge = e;
-            }
-            for (EdgeId e : edges) {
-              if (lambda[e] == lambda[min_edge]) {
-                edge_sets.Union(e, min_edge);
-              } else {
-                append_status = spill.Append(e, min_edge);
-                if (!append_status.ok()) return;
-              }
-            }
-          });
+  // Hierarchy in one more triangle scan: each triangle is a K_s whose
+  // minimum-lambda edges are unioned (strong triangle connectivity,
+  // Definition 5) and whose other edges spill as (edge, min-edge) pairs.
+  if (Status s = BuildSpilledSkeleton(
+          result.peel, temp_dir,
+          [&graph, &table](const KsSink& sink) {
+            return ScanTriangles(graph, table,
+                                 [&sink](EdgeId a, EdgeId b, EdgeId c) {
+                                   const std::int32_t members[3] = {a, b, c};
+                                   sink(members);
+                                 });
+          },
+          &result.build, &result.num_adj, &result.io);
       !s.ok()) {
     return s;
   }
-  if (!append_status.ok()) return append_status;
-  if (Status s = spill.Flush(); !s.ok()) return s;
-  result.num_adj = spill.NumPairs();
-
-  SkeletonBuild& build = result.build;
-  build.comp.assign(m, kInvalidId);
-  std::vector<std::int32_t> node_of_root(m, kInvalidId);
-  for (EdgeId e = 0; e < m; ++e) {
-    const std::int32_t r = edge_sets.Find(e);
-    if (node_of_root[r] == kInvalidId) {
-      node_of_root[r] = build.skeleton.AddNode(lambda[e]);
-    }
-    build.comp[e] = node_of_root[r];
-  }
-
-  const std::int32_t num_bins = result.peel.max_lambda + 1;
-  std::vector<std::int64_t> bin_begin;
-  auto sorted_or = spill.SortByBin(
-      [&lambda](std::int32_t /*hi*/, std::int32_t lo) { return lambda[lo]; },
-      num_bins, sorted_path, &bin_begin);
-  if (!sorted_or.ok()) return sorted_or.status();
-  PairFile sorted = std::move(*sorted_or);
-
-  HierarchySkeleton& skeleton = build.skeleton;
-  std::vector<std::pair<std::int32_t, std::int32_t>> merge;
-  for (Lambda k = result.peel.max_lambda; k >= 0; --k) {
-    merge.clear();
-    Status bin_scan = sorted.ScanRange(
-        bin_begin[k], bin_begin[k + 1],
-        [&](std::int32_t hi, std::int32_t lo) {
-          const std::int32_t s = skeleton.FindRoot(build.comp[hi]);
-          const std::int32_t t = skeleton.FindRoot(build.comp[lo]);
-          if (s == t) return;
-          if (skeleton.LambdaOf(s) > skeleton.LambdaOf(t)) {
-            skeleton.AttachChild(s, t);
-          } else {
-            merge.emplace_back(s, t);
-          }
-        });
-    if (!bin_scan.ok()) return bin_scan;
-    for (const auto& [s, t] : merge) skeleton.UnionR(s, t);
-  }
-
-  build.num_subnuclei = skeleton.NumNodes();
-  build.root_id = skeleton.AddNode(kRootLambda);
-  for (std::int32_t s = 0; s < build.root_id; ++s) {
-    if (!skeleton.HasParent(s)) skeleton.SetParent(s, build.root_id);
-  }
-
   result.io.Add(graph.stats());
-  result.io.Add(spill.stats());
-  result.io.Add(sorted.stats());
   return result;
 }
 

@@ -20,10 +20,10 @@
 // not edges — bound the number of disk scans.
 //
 // The hierarchy then costs ONE more triangle scan (the FND harvesting
-// idea): every triangle unions its minimum-lambda edges (Definition 5's
-// strong triangle connectivity) and spills (higher, min) edge pairs to
-// disk; an external counting sort plus the binned BuildHierarchy (Alg. 9)
-// finishes the job without any graph traversal.
+// idea) fed to BuildSpilledSkeleton (em/pair_file.h): every triangle unions
+// its minimum-lambda edges (Definition 5's strong triangle connectivity)
+// and spills (higher, min) edge pairs to disk; an external counting sort
+// plus the binned Alg. 9 finishes the job without any graph traversal.
 #ifndef NUCLEUS_EM_SEMI_EXTERNAL_TRUSS_H_
 #define NUCLEUS_EM_SEMI_EXTERNAL_TRUSS_H_
 

@@ -1,5 +1,6 @@
 #include "nucleus/em/adjacency_file.h"
 
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -8,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nucleus/em/semi_external_core.h"
+#include "nucleus/em/semi_external_truss.h"
 #include "nucleus/graph/binary_io.h"
 #include "nucleus/graph/generators.h"
 #include "test_util.h"
@@ -132,6 +135,67 @@ TEST(AdjacencyFile, TruncatedPayloadSurfacesDuringScan) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
 }
+
+// --- Corrupt neighbour lists ------------------------------------------------
+// Path(4) stores the lists 0:[1] 1:[0 2] 2:[1 3] 3:[2], so adjacency entries
+// 1 and 2 are vertex 1's list. Each case patches them so the file breaks one
+// rule the scan checks; every scan and both semi-external builds must then
+// return InvalidArgument, without crashing and without leaving spill files.
+
+struct CorruptCase {
+  std::string name;
+  std::vector<std::pair<std::int64_t, VertexId>> patches;  // (entry, id)
+  std::string message;  // part of the expected Status text
+};
+
+void PrintTo(const CorruptCase& c, std::ostream* os) { *os << c.name; }
+
+class CorruptAdjacency : public ::testing::TestWithParam<CorruptCase> {};
+
+TEST_P(CorruptAdjacency, EveryScanAndBuildReturnsInvalidArgument) {
+  const std::string path = TempPath("corrupt_" + GetParam().name + ".nucgraph");
+  ASSERT_TRUE(WriteBinaryGraph(Path(4), path).ok());
+  for (const auto& [entry, id] : GetParam().patches) {
+    testing_util::PatchBinaryAdjacency(path, 4, entry, id);
+  }
+  const std::string dir = TempPath("corrupt_scratch");
+  std::filesystem::create_directory(dir);
+  auto expect_invalid = [&](const Status& s, const char* what) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << what << ": "
+                                                      << s.ToString();
+    EXPECT_NE(s.ToString().find(GetParam().message), std::string::npos)
+        << what << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find(path), std::string::npos) << what;
+  };
+
+  auto file = AdjacencyFile::Open(path, 64);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  expect_invalid(file->ScanEdges([](VertexId, VertexId) {}), "ScanEdges");
+  expect_invalid(
+      file->ScanVertices([](VertexId, std::span<const VertexId>) {}),
+      "ScanVertices");
+  expect_invalid(SemiExternalCoreDecomposition(*file, dir).status(), "core");
+  expect_invalid(SemiExternalTrussDecomposition(*file, dir).status(),
+                 "truss");
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "leftover scratch in " << dir;
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, CorruptAdjacency,
+    ::testing::Values(
+        CorruptCase{"id_out_of_range", {{2, 0x7fff0000}},
+                    "vertex 1: neighbour 2147418112 outside [0, 4)"},
+        CorruptCase{"negative_id", {{1, -5}},
+                    "vertex 1: neighbour -5 outside [0, 4)"},
+        CorruptCase{"unsorted_list", {{1, 2}, {2, 0}},
+                    "vertex 1: neighbour list not strictly increasing"},
+        CorruptCase{"self_loop", {{2, 1}}, "vertex 1: self-loop"},
+        // 1:[2 3] keeps every list valid on its own, but the file now has
+        // four entries u < v against two u > v.
+        CorruptCase{"asymmetric", {{1, 2}, {2, 3}},
+                    "asymmetric, 4 entries u < v against 2 entries u > v"}),
+    [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace nucleus

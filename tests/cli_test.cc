@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nucleus/graph/binary_io.h"
 #include "nucleus/graph/edge_list_io.h"
 #include "nucleus/graph/generators.h"
 #include "nucleus/store/snapshot_v2.h"
@@ -228,6 +229,22 @@ TEST(Cli, SemiExternalRejectsBadFamilyAndMissingFile) {
   EXPECT_EQ(
       RunArgs({"semi-external", "--input", TempPath("nope.nucgraph")}).code,
       1);
+}
+
+TEST(Cli, SemiExternalRejectsCorruptAdjacency) {
+  // Path(4) with vertex 1's list patched to [0, 0x7fff0000]: an id far
+  // past |V| that the scan must reject instead of indexing with it.
+  const std::string bin_path = TempPath("cli_corrupt.nucgraph");
+  ASSERT_TRUE(WriteBinaryGraph(Path(4), bin_path).ok());
+  testing_util::PatchBinaryAdjacency(bin_path, 4, 2, 0x7fff0000);
+  for (const std::string family : {"core", "truss"}) {
+    const CliResult r = RunArgs({"semi-external", "--input", bin_path,
+                                 "--family", family, "--temp",
+                                 ::testing::TempDir()});
+    EXPECT_EQ(r.code, 1) << family;
+    EXPECT_NE(r.err.find("error:"), std::string::npos) << family << r.err;
+    EXPECT_NE(r.err.find("vertex 1"), std::string::npos) << family << r.err;
+  }
 }
 
 TEST(Cli, QueryReportsCommonNucleus) {

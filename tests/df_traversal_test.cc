@@ -1,10 +1,21 @@
 #include "nucleus/core/df_traversal.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "nucleus/core/fast_nucleus.h"
 #include "nucleus/core/hierarchy.h"
+#include "nucleus/core/lcps.h"
 #include "nucleus/core/naive_traversal.h"
 #include "nucleus/core/peeling.h"
+#include "nucleus/em/adjacency_file.h"
+#include "nucleus/em/semi_external_core.h"
+#include "nucleus/em/semi_external_truss.h"
+#include "nucleus/graph/binary_io.h"
+#include "nucleus/parallel/parallel_fnd.h"
 #include "test_util.h"
 
 namespace nucleus {
@@ -154,17 +165,41 @@ TEST(DfTraversal, Figure4StyleDistantEqualLambdaGroupsMergeIntoOneCore) {
   EXPECT_EQ(two_core.children.size(), 3u);
 }
 
+// Every skeleton producer closes its skeleton through SkeletonBuild::AddRoot:
+// the root is the last node and the only parentless one, and every other
+// node is a sub-nucleus.
 TEST(DfTraversal, RootTiesAllParentless) {
   const Graph g = DisjointUnion({Complete(4), Complete(4), Path(3)});
   const VertexSpace space(g);
   const PeelResult peel = Peel(space);
-  SkeletonBuild build = DfTraversal(space, peel);
-  for (std::int32_t s = 0; s < build.skeleton.NumNodes(); ++s) {
-    if (s != build.root_id) {
-      EXPECT_TRUE(build.skeleton.HasParent(s));
+  const std::string path = testing_util::TempPath("root_ties.nucgraph");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  auto file = AdjacencyFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto em_core = SemiExternalCoreDecomposition(*file, ::testing::TempDir());
+  ASSERT_TRUE(em_core.ok()) << em_core.status().ToString();
+  auto em_truss = SemiExternalTrussDecomposition(*file, ::testing::TempDir());
+  ASSERT_TRUE(em_truss.ok()) << em_truss.status().ToString();
+
+  const std::vector<std::pair<std::string, SkeletonBuild>> builds = {
+      {"dft", DfTraversal(space, peel)},
+      {"fnd", FastNucleusDecomposition(space).build},
+      {"fnd_t4",
+       FastNucleusDecompositionParallel(space, ParallelConfig{4}).build},
+      {"lcps", LcpsKCoreHierarchy(g, peel)},
+      {"em_core", em_core->build},
+      {"em_truss", em_truss->build},
+  };
+  for (const auto& [name, build] : builds) {
+    SCOPED_TRACE(name);
+    const std::int64_t num_nodes = build.skeleton.NumNodes();
+    EXPECT_EQ(build.root_id, num_nodes - 1);
+    EXPECT_FALSE(build.skeleton.HasParent(build.root_id));
+    for (std::int32_t s = 0; s < build.root_id; ++s) {
+      EXPECT_TRUE(build.skeleton.HasParent(s)) << "node " << s;
     }
+    EXPECT_EQ(build.num_subnuclei, num_nodes - 1);
   }
-  EXPECT_FALSE(build.skeleton.HasParent(build.root_id));
 }
 
 }  // namespace

@@ -80,6 +80,42 @@ INSTANTIATE_TEST_SUITE_P(Zoo, SemiExternalZoo,
 
 // --- Targeted behaviors ------------------------------------------------------
 
+// --- Past the zoo: many lambda levels, tiny blocks --------------------------
+
+// Skewed random graphs of 2-8k vertices reach far more lambda levels than
+// the zoo, and 64-byte blocks split most lists, so Alg. 9's bins and the
+// spill sort see many levels and block boundaries.
+class SemiExternalLarge
+    : public ::testing::TestWithParam<testing_util::GraphCase> {};
+
+TEST_P(SemiExternalLarge, HierarchyMatchesDfTraversalAtTinyBlocks) {
+  const Graph g = GetParam().make();
+  AdjacencyFile file = MustOpen(g, 64);
+  auto em = SemiExternalCoreDecomposition(file, ::testing::TempDir());
+  ASSERT_TRUE(em.ok()) << em.status().ToString();
+  const VertexSpace space(g);
+  const PeelResult peel = Peel(space);
+  ASSERT_GE(peel.max_lambda, 8);
+  const SkeletonBuild dft = DfTraversal(space, peel);
+  EXPECT_EQ(em->peel.lambda, peel.lambda);
+  EXPECT_EQ(em->build.num_subnuclei, dft.num_subnuclei);
+  const NucleusHierarchy em_tree =
+      NucleusHierarchy::FromSkeleton(em->build, g.NumVertices());
+  em_tree.Validate(em->peel.lambda);
+  testing_util::ExpectHierarchyEqual(
+      em_tree, NucleusHierarchy::FromSkeleton(dft, g.NumVertices()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Skewed, SemiExternalLarge,
+    ::testing::Values(
+        testing_util::GraphCase{
+            "rmat_8k",
+            [] { return RMat(13, 80000, 0.57, 0.19, 0.19, 7); }},
+        testing_util::GraphCase{"ba_2k",
+                                [] { return BarabasiAlbert(2000, 10, 3); }}),
+    [](const auto& info) { return info.param.name; });
+
 TEST(SemiExternalCore, PathConvergesQuicklyWithScanOrder) {
   // Gauss-Seidel scans in increasing id order, so the correction wave from
   // the low-id endpoint of a path sweeps the whole graph in one pass.

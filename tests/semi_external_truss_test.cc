@@ -77,6 +77,42 @@ INSTANTIATE_TEST_SUITE_P(Zoo, SemiExternalTrussZoo,
                          ::testing::ValuesIn(testing_util::GraphZoo()),
                          [](const auto& info) { return info.param.name; });
 
+// --- Past the zoo: many lambda levels, tiny blocks --------------------------
+
+// Skewed random graphs of 2k vertices reach far more trussness levels
+// than the zoo, and 64-byte blocks split most lists, so Alg. 9's bins and
+// the spill sort see many levels and block boundaries.
+class SemiExternalTrussLarge
+    : public ::testing::TestWithParam<testing_util::GraphCase> {};
+
+TEST_P(SemiExternalTrussLarge, HierarchyMatchesDfTraversalAtTinyBlocks) {
+  const Graph g = GetParam().make();
+  AdjacencyFile file = MustOpen(g, 64);
+  auto em = SemiExternalTrussDecomposition(file, ::testing::TempDir());
+  ASSERT_TRUE(em.ok()) << em.status().ToString();
+  const EdgeIndex edges = EdgeIndex::Build(g);
+  const EdgeSpace space(g, edges);
+  const PeelResult peel = Peel(space);
+  ASSERT_GE(peel.max_lambda, 8);
+  const SkeletonBuild dft = DfTraversal(space, peel);
+  EXPECT_EQ(em->peel.lambda, peel.lambda);
+  EXPECT_EQ(em->build.num_subnuclei, dft.num_subnuclei);
+  const NucleusHierarchy em_tree =
+      NucleusHierarchy::FromSkeleton(em->build, edges.NumEdges());
+  em_tree.Validate(em->peel.lambda);
+  testing_util::ExpectHierarchyEqual(
+      em_tree, NucleusHierarchy::FromSkeleton(dft, edges.NumEdges()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Skewed, SemiExternalTrussLarge,
+    ::testing::Values(
+        testing_util::GraphCase{
+            "rmat_2k", [] { return RMat(11, 9000, 0.6, 0.15, 0.15, 3); }},
+        testing_util::GraphCase{"ba_2k",
+                                [] { return BarabasiAlbert(2000, 10, 3); }}),
+    [](const auto& info) { return info.param.name; });
+
 TEST(SemiExternalTruss, TriangleFreeGraphPeelsWithoutTriangleScans) {
   AdjacencyFile file = MustOpen(CompleteBipartite(5, 6));
   auto em = SemiExternalTrussDecomposition(file, ::testing::TempDir());

@@ -59,6 +59,20 @@ inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
+/// Overwrites entry `index` of the adjacency array in the binary graph file
+/// at `path` (graph/binary_io.h: a 24-byte header, |V| + 1 int64 offsets,
+/// then int32 neighbour ids), leaving header and offsets intact.
+inline void PatchBinaryAdjacency(const std::string& path,
+                                 VertexId num_vertices, std::int64_t index,
+                                 VertexId value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.seekp(24 + 8 * (static_cast<std::int64_t>(num_vertices) + 1) +
+          4 * index);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(f.good()) << path;
+}
+
 /// g's CSR offsets array: NumVertices() + 1 entries, the last the adjacency
 /// size.
 inline std::vector<std::int64_t> CsrOffsets(const Graph& g) {

@@ -24,6 +24,14 @@ naked-mutex
     std::unique_lock / std::scoped_lock / std::shared_lock tokens
     outside util/mutex.h.
 
+one-hierarchy-assembly
+    Every skeleton producer shares one hierarchy assembly: Alg. 9's level
+    loop is internal::ConsumeBins (core/fast_nucleus.h) and the root
+    tie-off is SkeletonBuild::AddRoot (core/types.h). So in src/nucleus and
+    bench/, `AddNode(kRootLambda` may appear only in core/types.h, and
+    `AttachChild(` only in dsf/, core/df_traversal.h and core/fast_nucleus.h.
+    Keeps hand-kept copies of the assembly from growing back.
+
 A finding on a specific line can be suppressed with a trailing
 `// nucleus-lint: allow(<rule>)` comment.
 
@@ -41,7 +49,7 @@ import re
 import sys
 import tempfile
 
-RULES = ("tsan-filter-sync", "wall-clock", "naked-mutex")
+RULES = ("tsan-filter-sync", "wall-clock", "naked-mutex", "one-hierarchy-assembly")
 
 SUPPRESS_RE = re.compile(r"//\s*nucleus-lint:\s*allow\(([a-z-]+)\)")
 
@@ -57,6 +65,19 @@ NAKED_MUTEX_RE = re.compile(
 
 WALL_CLOCK_WHITELIST = ("obs/", "util/timer")
 NAKED_MUTEX_WHITELIST = ("util/mutex.h",)
+
+# one-hierarchy-assembly: (pattern, the only files allowed to match it).
+ASSEMBLY_RULES = (
+    (re.compile(r"AddNode\(\s*kRootLambda"), ("src/nucleus/core/types.h",)),
+    (
+        re.compile(r"\bAttachChild\("),
+        (
+            "src/nucleus/dsf/",
+            "src/nucleus/core/df_traversal.h",
+            "src/nucleus/core/fast_nucleus.h",
+        ),
+    ),
+)
 
 CI_TSAN_RE = re.compile(r'ctest_args:\s*-R\s*"([^"]+)"')
 
@@ -80,12 +101,12 @@ def strip_line_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def iter_source_files(root: str):
-    src = os.path.join(root, "src", "nucleus")
-    for dirpath, _dirnames, filenames in os.walk(src):
-        for name in sorted(filenames):
-            if name.endswith((".h", ".cc", ".cpp", ".hpp")):
-                yield os.path.join(dirpath, name)
+def iter_source_files(root: str, subdirs=("src/nucleus",)):
+    for subdir in subdirs:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, subdir)):
+            for name in sorted(filenames):
+                if name.endswith((".h", ".cc", ".cpp", ".hpp")):
+                    yield os.path.join(dirpath, name)
 
 
 def rel(root: str, path: str) -> str:
@@ -183,6 +204,11 @@ def lint(root: str) -> list:
         check_file_rule(
             root, path, "naked-mutex", NAKED_MUTEX_RE, NAKED_MUTEX_WHITELIST, findings
         )
+    for path in iter_source_files(root, ("src/nucleus", "bench")):
+        for pattern, allowed in ASSEMBLY_RULES:
+            check_file_rule(
+                root, path, "one-hierarchy-assembly", pattern, allowed, findings
+            )
     return findings
 
 
@@ -312,6 +338,44 @@ def self_test() -> int:
                 "steady_clock: expected no findings, got: "
                 + "; ".join(str(f) for f in findings)
             )
+
+    # 6. The hierarchy assembly's root tie-off and attach step live only in
+    #    their owners; copies elsewhere in src/nucleus or bench/ are flagged.
+    with tempfile.TemporaryDirectory() as root:
+        _fixture_base(root, "X", "X")
+        _write(
+            root,
+            "src/nucleus/core/types.h",
+            "void AddRoot() { root_id = skeleton.AddNode(kRootLambda); }\n",
+        )
+        _write(
+            root,
+            "src/nucleus/dsf/root_forest.cc",
+            "void HierarchySkeleton::AttachChild(int c, int p) {}\n",
+        )
+        _write(
+            root,
+            "src/nucleus/core/fast_nucleus.h",
+            "// AttachChild(s, t) in a comment is fine anywhere\n"
+            "void F() { skeleton->AttachChild(s, t); }\n",
+        )
+        _write(
+            root,
+            "src/nucleus/core/lcps.cc",
+            "void G() { build.root_id = skeleton.AddNode(kRootLambda); }\n",
+        )
+        _write(
+            root,
+            "src/nucleus/em/semi_external_core.cc",
+            "void H() { skeleton.AttachChild(s, t); }\n",
+        )
+        _write(
+            root,
+            "bench/ablation_build_order.cc",
+            "void B() { skeleton.AttachChild(s, t); }\n",
+        )
+        findings = lint(root)
+        expect("one-hierarchy-assembly", findings, "one-hierarchy-assembly", 3)
 
     if failures:
         for failure in failures:
